@@ -208,7 +208,7 @@ fn run_mode(mode: &'static str, duration: Duration) -> ModeResult {
     // A trace far too long to complete during the bench: the injection
     // frontier never catches up, so every inject stays valid.
     let mut config = ServeConfig::new(TimeSeries::new(30, vec![1.0; 100_000]).unwrap());
-    config.sim = SimConfig {
+    config.pools[0].sim = SimConfig {
         default_pool_target: 2,
         tau_jitter_secs: 0,
         ..Default::default()

@@ -1,13 +1,13 @@
 //! Satellite (c): any scenario/fault spec replayed with the same seed
 //! yields **byte-identical** reports and `ip-obs` event streams whether
-//! the fleet runs serially (`IP_THREADS=1`) or on 4 worker threads.
+//! the fleet runs on one worker thread or on 4.
 //!
 //! These tests mutate the process-wide obs registry/trace, so they
 //! serialize behind one mutex (this file is its own test binary,
 //! isolating it from every other suite's process).
 
 use ip_chaos::{catalog, ScenarioSpec};
-use ip_sim::{FaultEntry, FleetPool, FleetSim, FleetStrategy, SimConfig};
+use ip_sim::{FaultEntry, FleetPool, FleetSim, SimConfig};
 use ip_timeseries::TimeSeries;
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -47,7 +47,7 @@ fn planned_pools(
 /// per-pool reports rendered to text.
 fn observed_run(
     pools: &[(String, TimeSeries, Vec<FaultEntry>)],
-    strategy: FleetStrategy,
+    threads: usize,
 ) -> (String, Vec<ip_obs::EventRecord>, String) {
     ip_obs::set_enabled(true);
     ip_obs::reset();
@@ -64,7 +64,7 @@ fn observed_run(
             FleetPool::new(id.clone(), cfg, d.clone())
         })
         .collect();
-    let mut fleet = FleetSim::new(members).unwrap().with_strategy(strategy);
+    let mut fleet = FleetSim::new(members).unwrap().with_threads(threads);
     fleet.run_to_end();
     let report = fleet.finalize();
     let prometheus = ip_obs::export::render_prometheus(ip_obs::global());
@@ -82,7 +82,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Every catalog scenario, under random seeds and fleet sizes:
-    /// serial and 4-thread runs export identical bytes, and a second
+    /// one-thread and 4-thread runs export identical bytes, and a second
     /// replay of the same spec is identical to the first.
     #[test]
     fn scenario_replay_is_byte_identical_across_threads(
@@ -96,16 +96,16 @@ proptest! {
         let replay = planned_pools(ScenarioSpec::by_name(name, seed).unwrap(), pool_count);
         prop_assert_eq!(&pools, &replay, "{} seed {}: plan replay", name, seed);
 
-        let serial = observed_run(&pools, FleetStrategy::Serial);
-        let par = observed_run(&pools, FleetStrategy::Parallel(4));
-        prop_assert_eq!(&serial.0, &par.0, "{} seed {}: prometheus bytes", name, seed);
-        prop_assert_eq!(&serial.1, &par.1, "{} seed {}: event stream", name, seed);
-        prop_assert_eq!(&serial.2, &par.2, "{} seed {}: reports", name, seed);
+        let one = observed_run(&pools, 1);
+        let par = observed_run(&pools, 4);
+        prop_assert_eq!(&one.0, &par.0, "{} seed {}: prometheus bytes", name, seed);
+        prop_assert_eq!(&one.1, &par.1, "{} seed {}: event stream", name, seed);
+        prop_assert_eq!(&one.2, &par.2, "{} seed {}: reports", name, seed);
 
-        let again = observed_run(&pools, FleetStrategy::Serial);
-        prop_assert_eq!(&serial.0, &again.0, "{} seed {}: replayed metrics", name, seed);
-        prop_assert_eq!(&serial.1, &again.1, "{} seed {}: replayed events", name, seed);
-        prop_assert_eq!(&serial.2, &again.2, "{} seed {}: replayed reports", name, seed);
+        let again = observed_run(&pools, 1);
+        prop_assert_eq!(&one.0, &again.0, "{} seed {}: replayed metrics", name, seed);
+        prop_assert_eq!(&one.1, &again.1, "{} seed {}: replayed events", name, seed);
+        prop_assert_eq!(&one.2, &again.2, "{} seed {}: replayed reports", name, seed);
     }
 
     /// Explicit JSON fault specs (pinned and unpinned, every kind) are
@@ -138,10 +138,10 @@ proptest! {
             "all four faults scheduled"
         );
 
-        let serial = observed_run(&pools, FleetStrategy::Serial);
-        let par = observed_run(&pools, FleetStrategy::Parallel(4));
-        prop_assert_eq!(&serial.0, &par.0, "seed {}: prometheus bytes", seed);
-        prop_assert_eq!(&serial.1, &par.1, "seed {}: event stream", seed);
-        prop_assert_eq!(&serial.2, &par.2, "seed {}: reports", seed);
+        let one = observed_run(&pools, 1);
+        let par = observed_run(&pools, 4);
+        prop_assert_eq!(&one.0, &par.0, "seed {}: prometheus bytes", seed);
+        prop_assert_eq!(&one.1, &par.1, "seed {}: event stream", seed);
+        prop_assert_eq!(&one.2, &par.2, "seed {}: reports", seed);
     }
 }

@@ -9,9 +9,8 @@
 //! event order inside the steppers, so the daemon's decisions are
 //! bit-identical to offline [`ip_sim::Simulation`] runs over the same
 //! effective traces regardless of how wall-clock pacing slices the
-//! `step_until` calls. A daemon started with one anonymous pool is the
-//! pre-fleet single-pool daemon, bit for bit: same unlabeled metrics, same
-//! status fields, same report.
+//! `step_until` calls. A single-pool daemon is a fleet of one anonymous
+//! pool: its metric series carry no `pool` label.
 
 use ip_core::{
     autotuned_provider, merge_snapshots, named_provider, Alert, AlertRule, CostModel, Dashboard,
@@ -329,15 +328,6 @@ impl Controller {
         match self.fleet.as_mut() {
             Some(fleet) => fleet.step_until(until),
             None => 0,
-        }
-    }
-
-    /// Overrides how fleet epochs execute (serial interleave vs pool-major
-    /// parallel — bit-identical output either way; see `ip_sim::fleet`).
-    /// The default is [`ip_sim::FleetStrategy::Auto`].
-    pub fn set_strategy(&mut self, strategy: ip_sim::FleetStrategy) {
-        if let Some(fleet) = self.fleet.as_mut() {
-            fleet.set_strategy(strategy);
         }
     }
 
@@ -1198,12 +1188,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_strategy_daemon_matches_serial() {
-        // The daemon's incremental tick path over a parallel fleet: same
+    fn multi_thread_daemon_matches_one_thread() {
+        // The daemon's incremental tick path over a 4-worker fleet: same
         // per-pool reports and per-pool interval stats (the dashboard
-        // streams' source) as a serial-driven controller, at any pacing.
-        let build = || {
-            Controller::new(
+        // streams' source) as a one-worker controller, at any pacing.
+        let build = |threads: usize| {
+            let mut ctl = Controller::new(
                 (0..3)
                     .map(|k| PoolServeConfig {
                         sim: SimConfig {
@@ -1219,31 +1209,27 @@ mod tests {
                     .collect(),
                 300,
             )
-            .unwrap()
+            .unwrap();
+            ctl.fleet = ctl.fleet.take().map(|f| f.with_threads(threads));
+            ctl
         };
-        let mut serial = build();
-        serial.set_strategy(ip_sim::FleetStrategy::Serial);
-        let mut parallel = build();
-        parallel.set_strategy(ip_sim::FleetStrategy::Parallel(4));
+        let mut one = build(1);
+        let mut four = build(4);
         for until in [13, 250, 251, 900, 1700, u64::MAX] {
-            serial.step_to(until);
-            parallel.step_to(until);
+            one.step_to(until);
+            four.step_to(until);
             for i in 0..3 {
                 assert_eq!(
-                    serial.interval_stats_of(i),
-                    parallel.interval_stats_of(i),
+                    one.interval_stats_of(i),
+                    four.interval_stats_of(i),
                     "pool {i} interval stats diverged before until={until}"
                 );
             }
         }
-        assert!(serial.is_done() && parallel.is_done());
-        serial.finalize();
-        parallel.finalize();
-        for ((ida, a), (idb, b)) in serial
-            .take_reports()
-            .into_iter()
-            .zip(parallel.take_reports())
-        {
+        assert!(one.is_done() && four.is_done());
+        one.finalize();
+        four.finalize();
+        for ((ida, a), (idb, b)) in one.take_reports().into_iter().zip(four.take_reports()) {
             assert_eq!(ida, idb);
             assert_eq!(a.hits, b.hits, "{ida}: hits");
             assert_eq!(a.total_wait_secs, b.total_wait_secs, "{ida}: wait");

@@ -38,9 +38,10 @@
 //! The daemon controls a **fleet**: N first-class pools, each with its own
 //! demand trace, simulator config, recommendation pipeline, and α′ loop,
 //! advanced in one merged logical-time event order
-//! ([`ip_sim::FleetSim`]). A single anonymous pool is the legacy daemon,
-//! bit for bit. On a fleet, `POST /requests` and `POST /reload` name their
-//! pool in the body and `/metrics` series carry a `pool` label.
+//! ([`ip_sim::FleetSim`]). A single-pool daemon is a fleet of one
+//! anonymous pool, whose metric series carry no `pool` label. On a fleet,
+//! `POST /requests` and `POST /reload` name their pool in the body and
+//! `/metrics` series carry a `pool` label.
 //!
 //! Because every state mutation and RNG draw happens inside the
 //! incrementally-steppable simulators in event order — never in pacing
@@ -60,7 +61,7 @@ use std::time::{Duration, Instant};
 
 use ip_core::{evaluate_alerts, merge_snapshots, AlertRule, CostModel, Dashboard};
 use ip_obs::export::render_prometheus;
-use ip_sim::{SimConfig, SimReport};
+use ip_sim::SimReport;
 use ip_timeseries::TimeSeries;
 use serde::Content;
 
@@ -114,32 +115,20 @@ impl Phase {
     }
 }
 
-/// Configuration for [`Daemon::start`].
+/// Configuration for [`Daemon::start`]: the fleet of pools plus the
+/// daemon-wide settings. A single-pool daemon is a fleet of one —
+/// [`ServeConfig::new`] builds it with an anonymous pool, whose metric
+/// series carry no `pool` label.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// The fleet: one entry per pool. When **empty**, the daemon runs the
-    /// legacy single-pool configuration below as a one-pool fleet with an
-    /// anonymous pool (unlabeled metrics) — bit-identical to the pre-fleet
-    /// daemon. When non-empty, the single-pool fields below are ignored.
+    /// The fleet: one entry per pool, in registration order. Must not be
+    /// empty.
     pub pools: Vec<PoolServeConfig>,
     /// Cross-pool compatibility matrix (PR 10): which pools may hand warm
     /// clusters to which on a miss. `None` (or an empty matrix) keeps
     /// every pool fully isolated — bit-identical to the pre-borrowing
     /// daemon.
     pub matrix: Option<ip_sim::CompatibilityMatrix>,
-    /// Platform simulation config (guardrails, Arbitrator, failures, seed).
-    pub sim: SimConfig,
-    /// The workload trace to replay.
-    pub demand: TimeSeries,
-    /// Recommendation model name (`ssa`, `ssa+`, `baseline`, `e2e-ssa`,
-    /// `e2e-baseline`); `None` runs a static pool at the default target.
-    pub model: Option<String>,
-    /// Initial `α'` (Eq. 16 idle-vs-wait weight).
-    pub alpha: f64,
-    /// Enable the §6 AlphaTuner feedback loop.
-    pub autotune: bool,
-    /// Target mean wait for the tuner, in seconds.
-    pub target_wait_secs: f64,
     /// Logical seconds advanced per wall-clock second. `1.0` is real time.
     pub speedup: f64,
     /// TCP port to bind on 127.0.0.1 (`0` picks an ephemeral port).
@@ -167,17 +156,25 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A config with sensible defaults for the given trace.
+    /// A one-pool daemon over `demand`: one anonymous static pool
+    /// ([`PoolServeConfig::new`]) and sensible defaults elsewhere.
     pub fn new(demand: TimeSeries) -> Self {
+        Self::with_pools(vec![PoolServeConfig::new(demand)])
+    }
+
+    /// A fleet config over explicit per-pool entries. Errors on an empty
+    /// fleet.
+    pub fn fleet(pools: Vec<PoolServeConfig>) -> Result<Self, String> {
+        if pools.is_empty() {
+            return Err("fleet has no pools".to_string());
+        }
+        Ok(Self::with_pools(pools))
+    }
+
+    fn with_pools(pools: Vec<PoolServeConfig>) -> Self {
         Self {
-            pools: Vec::new(),
+            pools,
             matrix: None,
-            sim: SimConfig::default(),
-            demand,
-            model: None,
-            alpha: 0.3,
-            autotune: false,
-            target_wait_secs: 30.0,
             speedup: 1.0,
             port: 0,
             alert_rules: default_alert_rules(),
@@ -187,19 +184,6 @@ impl ServeConfig {
             flight_out: None,
             slow_request_micros: 1_000,
         }
-    }
-
-    /// A fleet config over explicit per-pool entries. Errors on an empty
-    /// fleet.
-    pub fn fleet(pools: Vec<PoolServeConfig>) -> Result<Self, String> {
-        let first = pools
-            .first()
-            .ok_or_else(|| "fleet has no pools".to_string())?;
-        let demand = first.demand.clone();
-        Ok(Self {
-            pools,
-            ..Self::new(demand)
-        })
     }
 }
 
@@ -216,10 +200,6 @@ pub fn default_alert_rules() -> Vec<AlertRule> {
 /// Result of a full daemon run, returned by [`Daemon::join`].
 #[derive(Debug)]
 pub struct ServeOutcome {
-    /// The finalized simulation report (bit-identical to an offline run
-    /// over the effective trace) when the daemon ran a **single** pool;
-    /// `None` on a fleet — use [`ServeOutcome::pool_reports`].
-    pub report: Option<SimReport>,
     /// Every pool's finalized report, in registration order (bit-identical
     /// to offline runs over each pool's effective trace).
     pub pool_reports: Vec<(String, SimReport)>,
@@ -371,12 +351,6 @@ impl Daemon {
         let ServeConfig {
             pools,
             matrix,
-            sim,
-            demand,
-            model,
-            alpha,
-            autotune,
-            target_wait_secs,
             speedup,
             port,
             alert_rules,
@@ -391,20 +365,6 @@ impl Daemon {
                 "--speedup must be a positive number, got {speedup}"
             ));
         }
-        // An empty fleet means the legacy flat fields: one anonymous pool.
-        let pools = if pools.is_empty() {
-            vec![PoolServeConfig {
-                id: None,
-                sim,
-                demand,
-                model,
-                alpha,
-                autotune,
-                target_wait_secs,
-            }]
-        } else {
-            pools
-        };
         describe_serve_metrics();
         // The controller ticks at the granularity of the fastest pool.
         let interval_secs = pools
@@ -543,17 +503,12 @@ impl Daemon {
                 );
             }
         }
-        let mut pool_reports: Vec<(String, SimReport)> = ctl
+        let pool_reports = ctl
             .take_reports()
             .into_iter()
             .map(|(id, r)| (id.as_str().to_string(), r))
             .collect();
-        let report = match pool_reports.as_mut_slice() {
-            [(_, only)] => Some(only.clone()),
-            _ => None,
-        };
         let outcome = ServeOutcome {
-            report,
             pool_reports,
             injected: ctl.injected(),
             reloads: ctl.reloads(),

@@ -183,10 +183,10 @@ fn live_daemon_is_bit_identical_to_offline_pipeline() {
 
     let base = demand(200);
     let mut config = ServeConfig::new(base.clone());
-    config.sim = sim_config();
-    config.model = Some("baseline".to_string());
-    config.alpha = 0.3;
-    config.autotune = true;
+    config.pools[0].sim = sim_config();
+    config.pools[0].model = Some("baseline".to_string());
+    config.pools[0].alpha = 0.3;
+    config.pools[0].autotune = true;
     config.speedup = 2_000.0;
     let daemon = Daemon::start(config).expect("daemon starts");
     let addr = daemon.addr();
@@ -257,9 +257,9 @@ fn live_daemon_is_bit_identical_to_offline_pipeline() {
         body.contains("draining"),
         "unexpected shutdown body: {body}"
     );
-    let outcome = daemon.join();
+    let mut outcome = daemon.join();
     ip_obs::set_enabled(false);
-    let live = outcome.report.expect("completed run yields a report");
+    let (_, live) = outcome.pool_reports.remove(0);
     assert_eq!(outcome.injected, 10);
 
     // Oracle: the offline pipeline over the reconstructed effective trace,
@@ -430,10 +430,6 @@ fn fleet_daemon_matches_offline_per_pool() {
     let outcome = daemon.join();
     ip_obs::set_enabled(false);
     assert_eq!(outcome.injected, 10);
-    assert!(
-        outcome.report.is_none(),
-        "fleet outcome has no single report"
-    );
     assert_eq!(outcome.pool_reports.len(), 3);
 
     // Oracle: each pool independently offline over its effective trace,
@@ -544,9 +540,9 @@ fn control_plane_endpoints_validate_and_route() {
     if let Ok((code, _)) = try_http(addr, "POST", "/shutdown", "") {
         assert_eq!(code, 200);
     }
-    let outcome = daemon.join();
+    let mut outcome = daemon.join();
     assert_eq!(outcome.injected, 0);
-    let report = outcome.report.expect("static run still yields a report");
+    let (_, report) = outcome.pool_reports.remove(0);
     assert_eq!(report.interval_stats.len(), 40);
 }
 
@@ -559,8 +555,8 @@ fn reload_swaps_model_and_drain_finalizes_prefix() {
     ip_obs::set_enabled(false);
 
     let mut config = ServeConfig::new(demand(20_000));
-    config.sim = sim_config();
-    config.model = Some("baseline".to_string());
+    config.pools[0].sim = sim_config();
+    config.pools[0].model = Some("baseline".to_string());
     config.speedup = 300.0; // 10 intervals per wall second: far from done
     let daemon = Daemon::start(config).expect("daemon starts");
     let addr = daemon.addr();
@@ -578,9 +574,9 @@ fn reload_swaps_model_and_drain_finalizes_prefix() {
 
     // Drain mid-replay: the report covers exactly the processed prefix.
     assert_eq!(http(addr, "POST", "/shutdown", "").0, 200);
-    let outcome = daemon.join();
+    let mut outcome = daemon.join();
     assert_eq!(outcome.reloads, 1);
-    let report = outcome.report.expect("drained run yields a report");
+    let (_, report) = outcome.pool_reports.remove(0);
     assert!(
         !report.interval_stats.is_empty() && report.interval_stats.len() < 20_000,
         "drain must finalize a strict prefix, got {} intervals",
@@ -606,10 +602,10 @@ fn keepalive_batched_daemon_matches_one_shot_and_offline() {
         ip_obs::reset();
         ip_obs::set_enabled(true);
         let mut config = ServeConfig::new(base.clone());
-        config.sim = sim_config();
-        config.model = Some("baseline".to_string());
-        config.alpha = 0.3;
-        config.autotune = true;
+        config.pools[0].sim = sim_config();
+        config.pools[0].model = Some("baseline".to_string());
+        config.pools[0].alpha = 0.3;
+        config.pools[0].autotune = true;
         config.speedup = 2_000.0;
         config.workers = workers;
         config.keep_alive = keep_alive;
@@ -661,10 +657,10 @@ fn keepalive_batched_daemon_matches_one_shot_and_offline() {
         let (code, metrics_text) = http(addr, "GET", "/metrics", "");
         assert_eq!(code, 200);
         assert_eq!(http(addr, "POST", "/shutdown", "").0, 200);
-        let outcome = daemon.join();
+        let mut outcome = daemon.join();
         ip_obs::set_enabled(false);
         (
-            outcome.report.expect("completed run yields a report"),
+            outcome.pool_reports.remove(0).1,
             sim_series(&metrics_text),
             landed,
         )
@@ -730,7 +726,7 @@ fn degraded_run_pages_at_slo_and_lands_in_flight_dump() {
     let _ = std::fs::remove_file(&flight_path);
 
     let mut config = ServeConfig::new(demand(120));
-    config.sim = SimConfig {
+    config.pools[0].sim = SimConfig {
         default_pool_target: 0, // the pool serves nothing: every request misses
         seed: 42,
         ..Default::default()

@@ -2,37 +2,32 @@
 //!
 //! [`FleetSim`] owns one [`SimStepper`] per pool and presents their event
 //! streams as a single total order: logical time first, pool registration
-//! order on ties. Two execution strategies produce that order (see
-//! [`FleetStrategy`] and DESIGN.md §13):
-//!
-//! * **Serial** — a binary-heap schedule keyed `(next_event_time,
-//!   registration_index)` picks the globally earliest stepper and advances
-//!   exactly it, O(log N) per pick instead of the former O(N) scan.
-//! * **Parallel** (the default on multi-core hosts) — pools only couple
-//!   through *output ordering*, never through simulation state, so each
-//!   `step_until` becomes an epoch: every pool's stepper runs to the epoch
-//!   boundary independently on `ip-par` workers, buffering its metric ops
-//!   and logical events in an [`ip_obs::capture`] window; the caller then
-//!   folds the buffers back into the shared registry/trace with a
-//!   deterministic k-way merge on `(time, registration index)` — the exact
-//!   interleave the serial schedule produces.
+//! order on ties. Pools only couple through *output ordering*, never
+//! through simulation state, so one driver produces that order (see
+//! DESIGN.md §13): each `step_until` is an epoch in which every pool's
+//! stepper runs to the epoch boundary independently on `ip-par` workers,
+//! buffering its metric ops and logical events in an [`ip_obs::capture`]
+//! window; the caller then folds the buffers back into the shared
+//! registry/trace with a deterministic merge on `(time, registration
+//! index)`. A one-pool fleet steps its only member inline on the caller
+//! thread with no capture window — folding a single buffer would change
+//! nothing. With a borrow matrix, epochs are cut at demand-interval times
+//! so misses resolve across pools between epochs.
 //!
 //! Because each pool's state (clusters, stores, RNG, interval stats) lives
 //! entirely inside its own stepper and only ever mutates while *that*
-//! stepper processes an event, neither the interleaving nor the strategy
-//! can change any pool's outcome: a fleet of one pool is bit-identical to
-//! [`Simulation::run`] over the same config and demand, an N-pool fleet is
-//! bit-identical to N independent single-pool runs, and the parallel path
-//! is bit-identical to the serial one under any `IP_THREADS`. All three
-//! invariants are pinned by tests (`tests/fleet.rs`,
-//! `tests/fleet_parallel.rs`, `tests/fleet_obs_identity.rs`).
+//! stepper processes an event, neither the epoch pacing nor the worker
+//! count can change any pool's outcome: an isolated N-pool fleet is
+//! bit-identical to N independent [`Simulation::run`]s (reports, metric
+//! bytes, and the event stream merged on `(time, pool index)`) under any
+//! `IP_THREADS`. These invariants are pinned by tests (`tests/fleet.rs`,
+//! `tests/fleet_parallel.rs`, `tests/fleet_obs_identity.rs`,
+//! `tests/fleet_borrow.rs`).
 
 use crate::borrow::{CompatibilityMatrix, BORROW_BUCKETS};
 use crate::engine::{SimConfig, SimReport, SimStepper};
 use crate::{BoxedProvider, PoolId, RecommendationProvider, Result, SimError};
 use ip_timeseries::TimeSeries;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// One pool's registration into a [`FleetSim`]: identity, simulator
 /// configuration, demand trace, and an optional recommendation provider
@@ -104,36 +99,11 @@ impl Member {
     }
 }
 
-/// How a [`FleetSim`] executes each `step_until` epoch. Every strategy
-/// produces bit-identical output; they differ only in wall-clock cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FleetStrategy {
-    /// Pool-major epochs over [`ip_par::num_threads`] workers (inline on
-    /// the caller thread when that is 1 — still pool-major, which beats
-    /// the event-interleave's cache behaviour at every fleet size),
-    /// unless the fleet has one pool or `IP_FLEET_SERIAL=1` is set (the
-    /// CI identity-diff escape hatch) — then the serial interleave.
-    #[default]
-    Auto,
-    /// The heap-scheduled serial interleave, one event-pick at a time.
-    Serial,
-    /// Pool-major epochs on exactly this many workers. `Parallel(1)` is
-    /// still pool-major — each pool's whole epoch in one tight loop,
-    /// executed inline on the caller thread with no worker machinery.
-    Parallel(usize),
-}
-
 /// N per-pool event loops merged into one global logical-time order.
 pub struct FleetSim {
     members: Vec<Member>,
-    strategy: FleetStrategy,
-    /// Serial-path schedule: `(earliest pending event time, member index)`
-    /// min-heap with lazy deletion. Entries may be stale — a parallel
-    /// epoch advances steppers without touching the heap — but never
-    /// *early*: event times only grow as a stepper steps, so a popped
-    /// entry is validated against the stepper and re-pushed if corrected.
-    /// Invariant: every member with a pending event has exactly one entry.
-    schedule: BinaryHeap<Reverse<(u64, usize)>>,
+    /// `ip-par` workers per multi-pool epoch.
+    threads: usize,
     /// Cross-pool borrowing (DESIGN.md §17). `None` — the default, and the
     /// state an empty matrix normalizes to — keeps every pool isolated on
     /// exactly the pre-borrowing code paths.
@@ -190,15 +160,9 @@ impl FleetSim {
                 stepper,
             });
         }
-        let schedule = members
-            .iter()
-            .enumerate()
-            .filter_map(|(i, m)| m.stepper.next_event_time().map(|t| Reverse((t, i))))
-            .collect();
         Ok(Self {
             members,
-            strategy: FleetStrategy::Auto,
-            schedule,
+            threads: ip_par::num_threads(),
             matrix: None,
             compiled_edges: Vec::new(),
             floors: Vec::new(),
@@ -293,42 +257,19 @@ impl FleetSim {
         self.matrix.is_some()
     }
 
-    /// Overrides the execution strategy (builder form).
-    pub fn with_strategy(mut self, strategy: FleetStrategy) -> Self {
-        self.strategy = strategy;
+    /// Runs multi-pool epochs on exactly `threads` `ip-par` workers
+    /// (builder form; default [`ip_par::num_threads`]). `1` still steps
+    /// pool-major, inline on the caller thread. Output is identical at
+    /// any count.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
         self
     }
 
-    /// Overrides the execution strategy.
-    pub fn set_strategy(&mut self, strategy: FleetStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The configured execution strategy.
-    pub fn strategy(&self) -> FleetStrategy {
-        self.strategy
-    }
-
-    /// Worker count the next epoch will use, or `None` for the serial
-    /// interleave. `Auto` goes serial only for a one-pool fleet (the
-    /// pre-fleet daemon path, which skips capture overhead entirely) or
-    /// under `IP_FLEET_SERIAL=1`; otherwise it is pool-major on
-    /// [`ip_par::num_threads`] workers, inline when that is 1. An explicit
-    /// [`FleetStrategy::Parallel`] is always pool-major, even with one
-    /// worker.
+    /// Worker count each epoch uses, or `None` for a one-pool fleet,
+    /// which steps its member inline with no capture window.
     pub fn effective_threads(&self) -> Option<usize> {
-        match self.strategy {
-            FleetStrategy::Serial => None,
-            FleetStrategy::Parallel(n) => Some(n.max(1)),
-            FleetStrategy::Auto => {
-                let forced = std::env::var("IP_FLEET_SERIAL").is_ok_and(|v| v.trim() == "1");
-                if forced || self.members.len() == 1 {
-                    None
-                } else {
-                    Some(ip_par::num_threads())
-                }
-            }
-        }
+        (self.members.len() > 1).then_some(self.threads)
     }
 
     /// Number of pools.
@@ -413,32 +354,19 @@ impl FleetSim {
     /// Processes every pool's events with `time <= until` in one merged
     /// `(time, pool registration order)` sequence, then advances all
     /// watermarks to `until`. Returns the number of demand intervals
-    /// processed across the fleet. The output — reports, interval stats,
-    /// metric series, logical trace events — is bit-identical whichever
-    /// [`FleetStrategy`] executes the epoch.
-    pub fn step_until(&mut self, until: u64) -> usize {
-        if self.matrix.is_some() {
-            return self.step_until_borrowing(until);
-        }
-        match self.effective_threads() {
-            None => self.step_until_serial(until),
-            Some(threads) => self.step_until_parallel(until, threads),
-        }
-    }
-
-    /// The borrowing driver: epochs bounded by the next possible
-    /// cross-pool interaction. Misses can only arise at demand-interval
+    /// processed across the fleet. Without a borrow matrix the whole call
+    /// is one epoch. With one, misses can only arise at demand-interval
     /// events, so every pool can safely run independently up to the
     /// earliest unprocessed interval time `t` across the fleet; the epoch
     /// lands every pool exactly at `t` (the interval events at `t`
     /// included, their misses deferred), then pending misses resolve on
-    /// the caller thread in `(time, registration index, arrival order)` —
-    /// the same deterministic order whichever strategy ran the epoch.
-    /// Every strategy routes epochs through the capture/fold pool-major
-    /// path (`Serial` runs it with one inline worker), so reports, metric
-    /// bytes, and the event stream are byte-identical at any thread count.
-    fn step_until_borrowing(&mut self, until: u64) -> usize {
-        let threads = self.effective_threads().unwrap_or(1);
+    /// the caller thread in `(time, registration index, arrival order)`.
+    /// Reports, metric bytes, and the event stream are byte-identical at
+    /// any thread count and pacing.
+    pub fn step_until(&mut self, until: u64) -> usize {
+        if self.matrix.is_none() {
+            return self.epoch(until);
+        }
         let mut intervals = 0;
         loop {
             let boundary = self
@@ -447,16 +375,11 @@ impl FleetSim {
                 .filter_map(|m| m.stepper.next_interval_time())
                 .filter(|&t| t <= until)
                 .min();
-            match boundary {
-                Some(t) => {
-                    intervals += self.step_until_parallel(t, threads);
-                    self.resolve_borrows(t);
-                }
-                None => {
-                    intervals += self.step_until_parallel(until, threads);
-                    return intervals;
-                }
-            }
+            let Some(t) = boundary else {
+                return intervals + self.epoch(until);
+            };
+            intervals += self.epoch(t);
+            self.resolve_borrows(t);
         }
     }
 
@@ -506,60 +429,21 @@ impl FleetSim {
         }
     }
 
-    /// The heap-scheduled serial interleave: pop the globally earliest
-    /// `(event time, registration index)`, validate it against the stepper
-    /// (lazy deletion — entries go stale when a parallel epoch advanced
-    /// the pool), advance exactly that pool, re-push its next event.
-    fn step_until_serial(&mut self, until: u64) -> usize {
-        let mut intervals = 0;
-        while let Some(&Reverse((t, i))) = self.schedule.peek() {
-            match self.members[i].stepper.next_event_time() {
-                // Entry is current. The min-heap on `(t, i)` breaks time
-                // ties by registration order, so the first-registered pool
-                // stays ahead — the same total order the old O(N) scan's
-                // strict `<` produced.
-                Some(actual) if actual == t => {
-                    if t > until {
-                        break;
-                    }
-                    self.schedule.pop();
-                    intervals += self.members[i].step_until(t);
-                    if let Some(next) = self.members[i].stepper.next_event_time() {
-                        self.schedule.push(Reverse((next, i)));
-                    }
-                }
-                // Stale: the pool moved past `t` since the entry was
-                // pushed. Event times never move earlier, so correcting in
-                // place preserves the one-entry-per-pending-pool invariant.
-                Some(actual) => {
-                    debug_assert!(actual > t, "stepper event time moved backwards");
-                    self.schedule.pop();
-                    self.schedule.push(Reverse((actual, i)));
-                }
-                None => {
-                    self.schedule.pop();
-                }
-            }
-        }
-        // No pool has an event left at or before `until`: bump every
-        // watermark (processes nothing, closes `is_done` bookkeeping).
-        for m in &mut self.members {
-            intervals += m.step_until(until);
-        }
-        intervals
-    }
-
-    /// One pool-major parallel epoch: every pool runs its own event loop
-    /// to `until` on `ip-par` workers, buffering observability output in a
+    /// One pool-major epoch: every pool runs its own event loop to
+    /// `until` on `ip-par` workers, buffering observability output in a
     /// thread-local [`ip_obs::capture`] window; the buffers are then
-    /// folded — in registration order, events k-way merged on `(time,
-    /// registration index)` — into the shared registry and trace, so the
-    /// exported bytes equal the serial interleave's. Pool state needs no
-    /// such care: it is per-stepper, and `step_until` is pacing-
-    /// independent, so one coarse call per pool lands each stepper in
-    /// exactly the state the serial schedule would have produced.
-    fn step_until_parallel(&mut self, until: u64, threads: usize) -> usize {
-        let results = ip_par::par_map_mut_with(threads, &mut self.members, |_, m| {
+    /// folded — in registration order, events merged on `(time,
+    /// registration index)` — into the shared registry and trace. Pool
+    /// state needs no such care: it is per-stepper, and `step_until` is
+    /// pacing-independent, so one coarse call per pool lands each stepper
+    /// in exactly the state any finer pacing would have produced. A
+    /// one-pool fleet skips the window and emits straight to the shared
+    /// sinks.
+    fn epoch(&mut self, until: u64) -> usize {
+        if let [only] = self.members.as_mut_slice() {
+            return only.step_until(until);
+        }
+        let results = ip_par::par_map_mut_with(self.threads, &mut self.members, |_, m| {
             let window = ip_obs::capture();
             let intervals = m.step_until(until);
             (intervals, window.finish())

@@ -58,7 +58,7 @@ pub use engine::{
     ArbitratorConfig, IntervalStat, IpWorkerConfig, SimConfig, SimReport, SimStepper, Simulation,
 };
 pub use fault::{FaultEntry, FaultKind, FaultRecord};
-pub use fleet::{FleetAggregate, FleetPool, FleetReport, FleetSim, FleetStrategy};
+pub use fleet::{FleetAggregate, FleetPool, FleetReport, FleetSim};
 pub use lease::{Lease, LeaseId, LeaseTable};
 pub use session::{run_region, PoolKind, RegionPool, RegionPoolReport};
 pub use stores::{CosmosLite, KustoLite, RecommendationFile};

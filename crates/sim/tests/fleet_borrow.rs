@@ -1,17 +1,23 @@
-//! Cross-pool borrowing: protocol pins and serial/parallel determinism.
+//! Cross-pool borrowing: protocol pins and thread-count determinism.
 //!
 //! The borrowing driver must produce byte-identical output — reports,
-//! Prometheus bytes, event streams — whichever [`FleetStrategy`] executes
-//! it, and an **empty** matrix must leave the fleet on exactly the
-//! pre-borrowing code paths. Obs-recording tests mutate the process-wide
-//! registry, so they serialize behind one mutex.
+//! Prometheus bytes, event streams — at one worker thread and at any
+//! other count or pacing, and an **empty** matrix must leave the fleet on
+//! exactly the pre-borrowing code paths. Recording is process-wide, and
+//! any fleet stepped while another test records would write into its
+//! registry, so every test that builds or steps a fleet holds one mutex.
 
-use ip_sim::{CompatibilityMatrix, FleetPool, FleetReport, FleetSim, FleetStrategy, SimConfig};
+use ip_sim::{CompatibilityMatrix, FleetPool, FleetReport, FleetSim, SimConfig};
 use ip_timeseries::TimeSeries;
 use proptest::prelude::*;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static GATE: Mutex<()> = Mutex::new(());
+
+/// Serializes fleet tests; a failed test must not poison the rest.
+fn gate() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn demand(vals: Vec<f64>) -> TimeSeries {
     TimeSeries::new(30, vals).unwrap()
@@ -41,6 +47,7 @@ fn spike_and_idle(matrix: CompatibilityMatrix) -> FleetSim {
 
 #[test]
 fn borrowing_turns_misses_into_warm_hits() {
+    let _g = gate();
     let isolated = {
         let mut fleet = spike_and_idle(CompatibilityMatrix::new());
         fleet.run_to_end();
@@ -74,6 +81,7 @@ fn borrowing_turns_misses_into_warm_hits() {
 
 #[test]
 fn contending_requesters_resolve_in_registration_order() {
+    let _g = gate();
     // Pools "a" (index 0) and "c" (index 2) both miss at t=0; donor "b"
     // has exactly one warm cluster. The lower registration index wins it;
     // the other falls back on-demand.
@@ -104,6 +112,7 @@ fn contending_requesters_resolve_in_registration_order() {
 
 #[test]
 fn donation_floor_refuses_the_borrow() {
+    let _g = gate();
     let mut fleet = spike_and_idle(
         CompatibilityMatrix::new()
             .edge("lazy", "busy", 10)
@@ -119,6 +128,7 @@ fn donation_floor_refuses_the_borrow() {
 
 #[test]
 fn in_flight_slot_frees_on_the_exact_interval_boundary() {
+    let _g = gate();
     // With `max_concurrent_borrows = 1`, a borrow at t occupies its slot
     // until t + latency. Latency 30 = the interval width: the slot frees
     // exactly at the next boundary (strict `>` comparison), so each of 3
@@ -149,6 +159,7 @@ fn in_flight_slot_frees_on_the_exact_interval_boundary() {
 
 #[test]
 fn matrix_validation_rejects_bad_edges() {
+    let _g = gate();
     let pools = || {
         vec![
             FleetPool::new("east", cfg(1, 1), demand(vec![1.0; 4])),
@@ -254,18 +265,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Reports are byte-identical (full `Debug` rendering, telemetry
-    /// stores included) whichever strategy and pacing runs a borrowing
+    /// stores included) at any worker count and pacing of a borrowing
     /// fleet.
     #[test]
-    fn borrow_reports_agree_serial_vs_parallel(
+    fn borrow_reports_agree_across_threads(
         pools in 2usize..5,
         edge_mask in 0u32..4096,
         knobs in 1u64..500,
         seed in 0u64..50,
     ) {
+        let _g = gate();
         let matrix = matrix_from(pools, edge_mask, knobs);
-        let run = |strategy: FleetStrategy, stride: u64| {
-            let mut fleet = build_fleet(pools, seed, &matrix).with_strategy(strategy);
+        let run = |threads: usize, stride: u64| {
+            let mut fleet = build_fleet(pools, seed, &matrix).with_threads(threads);
             let end = fleet.end_time();
             let mut t = 0;
             while !fleet.is_done() {
@@ -274,11 +286,12 @@ proptest! {
             }
             report_bytes(&fleet.finalize())
         };
-        let serial = run(FleetStrategy::Serial, u64::MAX);
-        for threads in [1usize, 2, 4, 7] {
-            prop_assert_eq!(&serial, &run(FleetStrategy::Parallel(threads), u64::MAX));
+        let one = run(1, u64::MAX);
+        for threads in [2usize, 4, 7] {
+            prop_assert_eq!(&one, &run(threads, u64::MAX));
         }
-        prop_assert_eq!(&serial, &run(FleetStrategy::Parallel(4), 137));
+        prop_assert_eq!(&one, &run(1, 137));
+        prop_assert_eq!(&one, &run(4, 137));
     }
 }
 
@@ -288,10 +301,10 @@ struct ObsRun {
     events: Vec<ip_obs::EventRecord>,
 }
 
-fn observed_run(matrix: &CompatibilityMatrix, strategy: FleetStrategy) -> ObsRun {
+fn observed_run(matrix: &CompatibilityMatrix, threads: usize) -> ObsRun {
     ip_obs::set_enabled(true);
     ip_obs::reset();
-    let mut fleet = build_fleet(3, 11, matrix).with_strategy(strategy);
+    let mut fleet = build_fleet(3, 11, matrix).with_threads(threads);
     fleet.run_to_end();
     let report = report_bytes(&fleet.finalize());
     let prometheus = ip_obs::export::render_prometheus(ip_obs::global());
@@ -306,29 +319,29 @@ fn observed_run(matrix: &CompatibilityMatrix, strategy: FleetStrategy) -> ObsRun
 }
 
 #[test]
-fn borrow_obs_bytes_agree_serial_vs_parallel() {
-    let _g = GATE.lock().unwrap();
+fn borrow_obs_bytes_agree_across_threads() {
+    let _g = gate();
     let matrix = CompatibilityMatrix::new()
         .edge("p1", "p0", 10)
         .edge("p2", "p0", 20)
         .edge("p2", "p1", 15);
-    let serial = observed_run(&matrix, FleetStrategy::Serial);
-    assert!(serial.prometheus.contains("ip_sim_borrows_total"));
-    for threads in [1usize, 2, 4, 7] {
-        let par = observed_run(&matrix, FleetStrategy::Parallel(threads));
-        assert_eq!(serial.report, par.report, "{threads} threads: report");
+    let one = observed_run(&matrix, 1);
+    assert!(one.prometheus.contains("ip_sim_borrows_total"));
+    for threads in [2usize, 4, 7] {
+        let par = observed_run(&matrix, threads);
+        assert_eq!(one.report, par.report, "{threads} threads: report");
         assert_eq!(
-            serial.prometheus, par.prometheus,
+            one.prometheus, par.prometheus,
             "{threads} threads: metric bytes"
         );
-        assert_eq!(serial.events, par.events, "{threads} threads: events");
+        assert_eq!(one.events, par.events, "{threads} threads: events");
     }
 }
 
 #[test]
 fn empty_matrix_is_byte_identical_to_no_matrix() {
-    let _g = GATE.lock().unwrap();
-    let run = |set_empty: bool, strategy: FleetStrategy| {
+    let _g = gate();
+    let run = |set_empty: bool, threads: usize| {
         ip_obs::set_enabled(true);
         ip_obs::reset();
         let members = (0..3)
@@ -340,7 +353,7 @@ fn empty_matrix_is_byte_identical_to_no_matrix() {
                 )
             })
             .collect();
-        let mut fleet = FleetSim::new(members).unwrap().with_strategy(strategy);
+        let mut fleet = FleetSim::new(members).unwrap().with_threads(threads);
         if set_empty {
             fleet.set_matrix(CompatibilityMatrix::new()).unwrap();
         }
@@ -352,17 +365,12 @@ fn empty_matrix_is_byte_identical_to_no_matrix() {
         ip_obs::reset();
         (report, prometheus, events)
     };
-    for strategy in [
-        FleetStrategy::Serial,
-        FleetStrategy::Parallel(1),
-        FleetStrategy::Parallel(4),
-        FleetStrategy::Parallel(7),
-    ] {
-        let plain = run(false, strategy);
-        let empty = run(true, strategy);
-        assert_eq!(plain.0, empty.0, "{strategy:?}: report");
-        assert_eq!(plain.1, empty.1, "{strategy:?}: metric bytes");
-        assert_eq!(plain.2, empty.2, "{strategy:?}: events");
+    for threads in [1usize, 4, 7] {
+        let plain = run(false, threads);
+        let empty = run(true, threads);
+        assert_eq!(plain.0, empty.0, "{threads} threads: report");
+        assert_eq!(plain.1, empty.1, "{threads} threads: metric bytes");
+        assert_eq!(plain.2, empty.2, "{threads} threads: events");
         assert!(
             !plain.1.contains("ip_sim_borrows_total"),
             "no borrow series without a matrix"

@@ -1,19 +1,28 @@
-//! Observability byte-identity: with recording on, a parallel fleet must
-//! export exactly the bytes the serial interleave exports — the rendered
-//! Prometheus text (pool-labeled metric series, including float counter
-//! and histogram accumulation) and the logical-clock event stream in
-//! merged order. Wall-clock span *timings* are inherently nondeterministic
-//! and excluded; span counts, names, and parent structure are compared.
+//! Observability byte-identity against an independent oracle: with
+//! recording on, an isolated (matrix-free) fleet must export exactly what
+//! running each pool alone through [`Simulation::run`] exports — the
+//! rendered Prometheus text (pool-labeled metric series, including float
+//! counter and histogram accumulation) and the logical-clock event stream,
+//! which is the per-pool streams concatenated in registration order and
+//! stably sorted on time (i.e. merged on `(t, pool index)`). Wall-clock
+//! span *timings* are inherently nondeterministic and excluded; span
+//! names and parent structure are compared, minus the `sim.run` wrapper
+//! span that only `Simulation::run` opens.
 //!
 //! These tests mutate the process-wide registry/trace, so they serialize
 //! behind one mutex (this file is its own test binary, isolating it from
 //! every other suite's process).
 
-use ip_sim::{FleetPool, FleetSim, FleetStrategy, IpWorkerConfig, SimConfig};
+use ip_sim::{FleetPool, FleetSim, IpWorkerConfig, PoolId, SimConfig, Simulation};
 use ip_timeseries::TimeSeries;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 static GATE: Mutex<()> = Mutex::new(());
+
+/// Serializes recording tests; a failed test must not poison the rest.
+fn gate() -> MutexGuard<'static, ()> {
+    GATE.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn demand(seed: u64, n: usize) -> TimeSeries {
     let vals: Vec<f64> = (0..n)
@@ -50,87 +59,143 @@ fn peak_provider() -> impl FnMut(u64, &TimeSeries, usize) -> Option<Vec<u32>> + 
     }
 }
 
-fn build_fleet(pools: usize, strategy: FleetStrategy) -> FleetSim {
-    let members = (0..pools)
-        .map(|k| {
-            let seed = 3 + k as u64;
-            let n = 48 + (k % 5) * 24;
-            FleetPool::new(
-                format!("pool-{k:02}"),
-                eventful_config(seed),
-                demand(seed, n),
-            )
-            .with_provider(Box::new(peak_provider()))
-        })
-        .collect();
-    FleetSim::new(members).unwrap().with_strategy(strategy)
+/// Pool `k` of an `n`-pool fleet: `(name, config, demand)`.
+fn pool_spec(k: usize) -> (String, SimConfig, TimeSeries) {
+    let seed = 3 + k as u64;
+    let len = 48 + (k % 5) * 24;
+    (
+        format!("pool-{k:02}"),
+        eventful_config(seed),
+        demand(seed, len),
+    )
 }
 
 struct ObsRun {
+    reports: Vec<String>,
     prometheus: String,
     events: Vec<ip_obs::EventRecord>,
-    span_names: Vec<String>,
-    span_children: Vec<(String, usize)>,
+    /// `(name, parent name, child count)` per span, sorted.
+    spans: Vec<(String, Option<String>, usize)>,
 }
 
-/// Runs a fleet with recording on and drains everything it exported.
-fn observed_run(pools: usize, strategy: FleetStrategy, stride: u64) -> ObsRun {
+/// Span names and nesting with `sim.run` spans spliced out: their
+/// children become roots.
+fn span_structure(trace: &ip_obs::Trace) -> Vec<(String, Option<String>, usize)> {
+    let kept: Vec<_> = trace.spans.iter().filter(|s| s.name != "sim.run").collect();
+    let name_of = |id: Option<u64>| {
+        kept.iter()
+            .find(|s| Some(s.id) == id)
+            .map(|s| s.name.clone())
+    };
+    let mut spans: Vec<_> = kept
+        .iter()
+        .map(|s| {
+            let children = kept.iter().filter(|c| c.parent == Some(s.id)).count();
+            (s.name.clone(), name_of(s.parent), children)
+        })
+        .collect();
+    spans.sort();
+    spans
+}
+
+/// Starts a recording run on clean sinks.
+fn record() {
     ip_obs::set_enabled(true);
     ip_obs::reset();
-    let mut fleet = build_fleet(pools, strategy);
+}
+
+/// Ends a recording run: the rendered registry plus the drained trace.
+fn drain() -> (String, ip_obs::Trace) {
+    let prometheus = ip_obs::export::render_prometheus(ip_obs::global());
+    let trace = ip_obs::take_trace();
+    ip_obs::set_enabled(false);
+    ip_obs::reset();
+    (prometheus, trace)
+}
+
+/// The oracle: every pool run alone through `Simulation::run`, one after
+/// another into the same (pool-disjoint) registry.
+fn independent_runs(pools: usize) -> ObsRun {
+    record();
+    let mut reports = Vec::new();
+    let mut events = Vec::new();
+    let mut spans = Vec::new();
+    for k in 0..pools {
+        let (name, mut cfg, d) = pool_spec(k);
+        cfg.pool = Some(PoolId::new(name));
+        let mut provider = peak_provider();
+        let report = Simulation::new(cfg, Some(&mut provider)).run(&d).unwrap();
+        reports.push(format!("{report:?}"));
+        let trace = ip_obs::take_trace();
+        spans.extend(span_structure(&trace));
+        events.extend(trace.events);
+    }
+    // Stable: a pool's own events keep their order, and time ties fall to
+    // the lower registration index.
+    events.sort_by_key(|e| e.t);
+    spans.sort();
+    let (prometheus, _) = drain();
+    ObsRun {
+        reports,
+        prometheus,
+        events,
+        spans,
+    }
+}
+
+/// The fleet under test, stepped in `stride`-second epochs.
+fn fleet_run(pools: usize, threads: usize, stride: u64) -> ObsRun {
+    record();
+    let members = (0..pools)
+        .map(|k| {
+            let (name, cfg, d) = pool_spec(k);
+            FleetPool::new(name, cfg, d).with_provider(Box::new(peak_provider()))
+        })
+        .collect();
+    let mut fleet = FleetSim::new(members).unwrap().with_threads(threads);
     let end = fleet.end_time();
     let mut t = 0;
     while !fleet.is_done() {
         t = (t + stride).min(end);
         fleet.step_until(t);
     }
-    fleet.finalize();
-    let prometheus = ip_obs::export::render_prometheus(ip_obs::global());
-    let trace = ip_obs::take_trace();
-    ip_obs::set_enabled(false);
-    ip_obs::reset();
-    let mut span_names: Vec<String> = trace.spans.iter().map(|s| s.name.clone()).collect();
-    span_names.sort();
-    let mut span_children: Vec<(String, usize)> = trace
-        .spans
+    let reports = fleet
+        .finalize()
+        .pools
         .iter()
-        .map(|s| (s.name.clone(), trace.children_of(Some(s.id)).len()))
+        .map(|(_, r)| format!("{r:?}"))
         .collect();
-    span_children.sort();
+    let (prometheus, trace) = drain();
     ObsRun {
+        reports,
         prometheus,
+        spans: span_structure(&trace),
         events: trace.events,
-        span_names,
-        span_children,
     }
 }
 
+fn assert_same(oracle: &ObsRun, fleet: &ObsRun, ctx: &str) {
+    assert_eq!(oracle.reports, fleet.reports, "{ctx}: reports");
+    assert_eq!(oracle.prometheus, fleet.prometheus, "{ctx}: metric bytes");
+    assert_eq!(oracle.events, fleet.events, "{ctx}: event stream");
+    assert_eq!(oracle.spans, fleet.spans, "{ctx}: span names and structure");
+}
+
 #[test]
-fn parallel_obs_bytes_match_serial() {
-    let _g = GATE.lock().unwrap();
+fn fleet_obs_bytes_match_independent_runs() {
+    let _g = gate();
     for pools in [1usize, 3, 16] {
-        let serial = observed_run(pools, FleetStrategy::Serial, u64::MAX);
+        let oracle = independent_runs(pools);
         assert!(
-            !serial.events.is_empty() && !serial.prometheus.is_empty(),
-            "the serial baseline must actually record something"
+            !oracle.events.is_empty() && !oracle.prometheus.is_empty(),
+            "the oracle must actually record something"
         );
-        for threads in [2usize, 4, 7] {
-            let par = observed_run(pools, FleetStrategy::Parallel(threads), u64::MAX);
-            assert_eq!(
-                serial.prometheus, par.prometheus,
-                "{pools} pools / {threads} threads: metric bytes"
-            );
-            assert_eq!(
-                serial.events, par.events,
-                "{pools} pools / {threads} threads: event stream"
-            );
-            assert_eq!(
-                serial.span_names, par.span_names,
-                "{pools} pools / {threads} threads: span names"
-            );
-            assert_eq!(
-                serial.span_children, par.span_children,
-                "{pools} pools / {threads} threads: span structure"
+        for threads in [1usize, 2, 4, 7] {
+            let fleet = fleet_run(pools, threads, u64::MAX);
+            assert_same(
+                &oracle,
+                &fleet,
+                &format!("{pools} pools / {threads} threads"),
             );
         }
     }
@@ -138,14 +203,16 @@ fn parallel_obs_bytes_match_serial() {
 
 #[test]
 fn epoch_pacing_does_not_change_obs_bytes() {
-    let _g = GATE.lock().unwrap();
-    let serial = observed_run(3, FleetStrategy::Serial, u64::MAX);
+    let _g = gate();
+    let oracle = independent_runs(3);
     for stride in [137u64, 999] {
-        let par = observed_run(3, FleetStrategy::Parallel(4), stride);
-        assert_eq!(
-            serial.prometheus, par.prometheus,
-            "stride {stride}: metrics"
-        );
-        assert_eq!(serial.events, par.events, "stride {stride}: events");
+        for threads in [1usize, 4] {
+            let fleet = fleet_run(3, threads, stride);
+            assert_same(
+                &oracle,
+                &fleet,
+                &format!("stride {stride} / {threads} threads"),
+            );
+        }
     }
 }

@@ -1,5 +1,5 @@
-//! The PR-6 contract: the pool-major parallel fleet is bit-identical to
-//! the heap-scheduled serial interleave — reports, interval stats, applied
+//! The fleet contract: an isolated fleet is bit-identical to running each
+//! pool alone through `Simulation::run` — reports, interval stats, applied
 //! targets, and the full recommendation-file history — at every worker
 //! count, on fleets of 1, 3, and 16 pools, under coarse and awkward epoch
 //! pacing. Observability byte-identity (metric series and trace events)
@@ -8,7 +8,7 @@
 //! freely in parallel.
 
 use ip_sim::{
-    FleetPool, FleetSim, FleetStrategy, IpWorkerConfig, RecommendationFile, SimConfig, SimReport,
+    FleetPool, FleetSim, IpWorkerConfig, PoolId, RecommendationFile, SimConfig, SimReport,
     Simulation,
 };
 use ip_timeseries::TimeSeries;
@@ -91,20 +91,51 @@ fn assert_reports_identical(a: &SimReport, b: &SimReport, ctx: &str) {
     );
 }
 
-fn build_fleet(pools: usize, strategy: FleetStrategy) -> FleetSim {
-    let members = (0..pools)
+/// One pool of a test fleet: name, config, demand, and whether it runs a
+/// [`peak_provider`].
+type PoolSpec = (String, SimConfig, TimeSeries, bool);
+
+fn eventful_pools(pools: usize) -> Vec<PoolSpec> {
+    (0..pools)
         .map(|k| {
             let seed = 3 + k as u64;
             let n = 48 + (k % 5) * 24;
-            FleetPool::new(
-                format!("pool-{k:02}"),
-                eventful_config(seed),
-                demand(seed, n),
-            )
-            .with_provider(Box::new(peak_provider()))
+            let name = format!("pool-{k:02}");
+            (name, eventful_config(seed), demand(seed, n), true)
+        })
+        .collect()
+}
+
+/// The oracle: each pool run alone, start to end, by `Simulation::run`.
+fn independent_runs(specs: &[PoolSpec]) -> Vec<(String, SimReport)> {
+    specs
+        .iter()
+        .map(|(name, cfg, d, with_provider)| {
+            let cfg = SimConfig {
+                pool: Some(PoolId::new(name.as_str())),
+                ..cfg.clone()
+            };
+            let mut provider = peak_provider();
+            let provider = with_provider.then_some(&mut provider as _);
+            let report = Simulation::new(cfg, provider).run(d).unwrap();
+            (name.clone(), report)
+        })
+        .collect()
+}
+
+fn build_fleet(specs: &[PoolSpec], threads: usize) -> FleetSim {
+    let members = specs
+        .iter()
+        .map(|(name, cfg, d, with_provider)| {
+            let p = FleetPool::new(name.as_str(), cfg.clone(), d.clone());
+            if *with_provider {
+                p.with_provider(Box::new(peak_provider()))
+            } else {
+                p
+            }
         })
         .collect();
-    FleetSim::new(members).unwrap().with_strategy(strategy)
+    FleetSim::new(members).unwrap().with_threads(threads)
 }
 
 fn run_with_stride(mut fleet: FleetSim, stride: u64) -> Vec<(String, SimReport)> {
@@ -122,85 +153,40 @@ fn run_with_stride(mut fleet: FleetSim, stride: u64) -> Vec<(String, SimReport)>
         .collect()
 }
 
+fn assert_runs_identical(a: &[(String, SimReport)], b: &[(String, SimReport)], ctx: &str) {
+    assert_eq!(a.len(), b.len(), "{ctx}: pool count");
+    for ((ida, a), (idb, b)) in a.iter().zip(b) {
+        assert_eq!(ida, idb, "{ctx}: pool order");
+        assert_reports_identical(a, b, &format!("{ctx} / {ida}"));
+    }
+}
+
 #[test]
-fn parallel_matches_serial_at_every_worker_count() {
+fn fleet_matches_independent_runs_at_every_worker_count() {
     for pools in [1usize, 3, 16] {
-        let serial = run_with_stride(build_fleet(pools, FleetStrategy::Serial), u64::MAX);
+        let specs = eventful_pools(pools);
+        let oracle = independent_runs(&specs);
         for threads in [1usize, 2, 4, 7] {
-            let par = run_with_stride(
-                build_fleet(pools, FleetStrategy::Parallel(threads)),
-                u64::MAX,
+            let fleet = run_with_stride(build_fleet(&specs, threads), u64::MAX);
+            assert_runs_identical(
+                &oracle,
+                &fleet,
+                &format!("{pools} pools / {threads} threads"),
             );
-            assert_eq!(serial.len(), par.len());
-            for ((ida, a), (idb, b)) in serial.iter().zip(par.iter()) {
-                assert_eq!(ida, idb);
-                assert_reports_identical(a, b, &format!("{pools} pools / {threads} threads"));
-            }
         }
     }
 }
 
 #[test]
-fn parallel_epoch_pacing_is_invisible() {
-    // Serial one-shot vs parallel epochs at awkward strides: every epoch
-    // boundary forces a buffer fold mid-run, none of which may leak into
-    // the reports.
-    let serial = run_with_stride(build_fleet(3, FleetStrategy::Serial), u64::MAX);
+fn epoch_pacing_is_invisible() {
+    // One-shot independent runs vs fleet epochs at awkward strides: every
+    // epoch boundary forces a buffer fold mid-run, none of which may leak
+    // into the reports.
+    let specs = eventful_pools(3);
+    let oracle = independent_runs(&specs);
     for stride in [41u64, 137, 999] {
-        let par = run_with_stride(build_fleet(3, FleetStrategy::Parallel(4)), stride);
-        for ((ida, a), (idb, b)) in serial.iter().zip(par.iter()) {
-            assert_eq!(ida, idb);
-            assert_reports_identical(a, b, &format!("stride {stride}"));
-        }
-    }
-}
-
-#[test]
-fn parallel_fleet_of_one_matches_simulation_run() {
-    let d = demand(5, 96);
-    let cfg = eventful_config(9);
-    let mut solo_provider = peak_provider();
-    let solo = Simulation::new(cfg.clone(), Some(&mut solo_provider))
-        .run(&d)
-        .unwrap();
-
-    let pool = FleetPool::new("only", cfg, d).with_provider(Box::new(peak_provider()));
-    let mut fleet = FleetSim::new(vec![pool])
-        .unwrap()
-        .with_strategy(FleetStrategy::Parallel(4));
-    fleet.run_to_end();
-    let report = fleet.finalize();
-    assert_reports_identical(&report.pools[0].1, &solo, "parallel fleet-of-one");
-}
-
-#[test]
-fn serial_resumes_correctly_after_parallel_epochs() {
-    // Mixed pacing: parallel epochs leave the serial heap stale; lazy
-    // deletion must self-heal when the strategy flips mid-run.
-    let serial = run_with_stride(build_fleet(5, FleetStrategy::Serial), u64::MAX);
-    let mut fleet = build_fleet(5, FleetStrategy::Parallel(4));
-    let end = fleet.end_time();
-    let mut t = 0;
-    let mut flip = false;
-    while !fleet.is_done() {
-        t = (t + 251).min(end);
-        fleet.set_strategy(if flip {
-            FleetStrategy::Serial
-        } else {
-            FleetStrategy::Parallel(4)
-        });
-        flip = !flip;
-        fleet.step_until(t);
-    }
-    let mixed: Vec<_> = fleet
-        .finalize()
-        .pools
-        .into_iter()
-        .map(|(id, r)| (id.as_str().to_string(), r))
-        .collect();
-    for ((ida, a), (idb, b)) in serial.iter().zip(mixed.iter()) {
-        assert_eq!(ida, idb);
-        assert_reports_identical(a, b, "mixed strategy");
+        let fleet = run_with_stride(build_fleet(&specs, 4), stride);
+        assert_runs_identical(&oracle, &fleet, &format!("stride {stride}"));
     }
 }
 
@@ -222,37 +208,25 @@ fn shared_metric_labels_are_rejected() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Merge-order stability over random fleet specs: whatever the pool
-    /// mix (count, seeds, trace lengths, providers-or-not), the parallel
-    /// epochs reproduce the serial interleave bit for bit.
+    /// Random fleet specs: whatever the pool mix (count, seeds, trace
+    /// lengths, providers-or-not), worker count, and pacing, the fleet
+    /// reproduces independent runs bit for bit.
     #[test]
-    fn random_fleets_are_strategy_independent(
+    fn random_fleets_match_independent_runs(
         specs in proptest::collection::vec((0u64..40, 12usize..72, 0u8..2), 1..6),
-        threads in 2usize..8,
+        threads in 1usize..8,
         stride in 100u64..2000,
     ) {
-        let build = |strategy: FleetStrategy| {
-            let pools = specs
-                .iter()
-                .enumerate()
-                .map(|(k, &(seed, n, with_provider))| {
-                    let p = FleetPool::new(
-                        format!("p{k}"),
-                        eventful_config(seed),
-                        demand(seed, n),
-                    );
-                    if with_provider == 1 {
-                        p.with_provider(Box::new(peak_provider()))
-                    } else {
-                        p
-                    }
-                })
-                .collect();
-            FleetSim::new(pools).unwrap().with_strategy(strategy)
-        };
-        let serial = run_with_stride(build(FleetStrategy::Serial), u64::MAX);
-        let par = run_with_stride(build(FleetStrategy::Parallel(threads)), stride);
-        for ((ida, a), (idb, b)) in serial.iter().zip(par.iter()) {
+        let specs: Vec<PoolSpec> = specs
+            .iter()
+            .enumerate()
+            .map(|(k, &(seed, n, with_provider))| {
+                (format!("p{k}"), eventful_config(seed), demand(seed, n), with_provider == 1)
+            })
+            .collect();
+        let oracle = independent_runs(&specs);
+        let fleet = run_with_stride(build_fleet(&specs, threads), stride);
+        for ((ida, a), (idb, b)) in oracle.iter().zip(fleet.iter()) {
             prop_assert_eq!(ida, idb);
             assert_reports_identical(a, b, ida);
         }

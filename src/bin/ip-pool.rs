@@ -189,10 +189,10 @@ fn demand_model(name: &str, seed: u64) -> Result<DemandModel, String> {
     }
 }
 
-/// Materializes every pool's demand trace for a `--pools` spec: preset
-/// pools are generated (per-pool seeds derived from the fleet seed, as
-/// [`FleetTrace`] does), file pools are read and parsed.
-fn resolve_fleet_demands(spec: &FleetSpec) -> Result<Vec<(FleetPoolEntry, TimeSeries)>, String> {
+/// Materializes every pool's named demand trace for a `--pools` spec:
+/// preset pools are generated (per-pool seeds derived from the fleet seed,
+/// as [`FleetTrace`] does), file pools are read and parsed.
+fn resolve_fleet_demands(spec: &FleetSpec) -> Result<Vec<(String, TimeSeries)>, String> {
     spec.pools
         .iter()
         .map(|p| {
@@ -212,7 +212,7 @@ fn resolve_fleet_demands(spec: &FleetSpec) -> Result<Vec<(FleetPoolEntry, TimeSe
                 model.days = spec.days;
                 model.generate()
             };
-            Ok((p.clone(), demand))
+            Ok((p.name.clone(), demand))
         })
         .collect()
 }
@@ -286,44 +286,50 @@ fn resolve_scenario(args: &CliArgs) -> Result<Option<Scenario>, String> {
     spec.compile().map(Some).map_err(|e| e.to_string())
 }
 
-/// Applies a scenario to a single-pool run: the demand is transformed and
-/// the pool's fault schedule lands in `SimConfig::faults`. Prints the
-/// plan summary (only scenario runs emit this line, so scenario-free
-/// output stays byte-identical).
-fn apply_scenario_single(
-    scenario: &Scenario,
-    demand: TimeSeries,
-    cfg: &mut SimConfig,
-) -> Result<TimeSeries, String> {
-    let plan = scenario
-        .apply(vec![("default".to_string(), demand)])
-        .map_err(|e| e.to_string())?;
+/// Shapes named pool demands with the `--scenario` (if given): each demand
+/// is transformed and returned with its pool's fault schedule, in input
+/// order. Prints the plan summary (only scenario runs emit this line, so
+/// scenario-free output stays byte-identical).
+fn shape_demands(
+    args: &CliArgs,
+    demands: Vec<(String, TimeSeries)>,
+) -> Result<Vec<(TimeSeries, Vec<ip_sim::FaultEntry>)>, String> {
+    let Some(scenario) = resolve_scenario(args)? else {
+        return Ok(demands.into_iter().map(|(_, d)| (d, Vec::new())).collect());
+    };
+    let plan = scenario.apply(demands).map_err(|e| e.to_string())?;
     println!("{}", plan.summary);
-    cfg.faults = plan.faults_for("default").to_vec();
-    let ChaosPlan { mut demand, .. } = plan;
-    Ok(demand.remove(0).1)
+    Ok(plan
+        .demand
+        .into_iter()
+        .zip(plan.faults)
+        .map(|((_, demand), (_, faults))| (demand, faults))
+        .collect())
 }
 
-/// Applies a scenario across a resolved fleet: demand transformed pool by
-/// pool, per-pool fault schedules returned alongside (aligned with the
-/// input order).
-fn apply_scenario_fleet(
-    scenario: &Scenario,
-    pools: Vec<(FleetPoolEntry, TimeSeries)>,
-) -> Result<Vec<(FleetPoolEntry, TimeSeries, Vec<ip_sim::FaultEntry>)>, String> {
-    let entries: Vec<FleetPoolEntry> = pools.iter().map(|(p, _)| p.clone()).collect();
-    let named: Vec<(String, TimeSeries)> = pools
+/// A loaded `--pools` spec: every entry with its [`SimConfig`] and its
+/// (scenario-shaped) demand, plus the spec's borrow matrix (if any).
+type LoadedFleet = (
+    Vec<(FleetPoolEntry, SimConfig, TimeSeries)>,
+    Option<CompatibilityMatrix>,
+);
+
+/// Loads a `--pools` spec (see [`LoadedFleet`]).
+fn load_fleet(args: &CliArgs, spec_path: &str) -> Result<LoadedFleet, String> {
+    let text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
+    let spec = parse_fleet_spec(&text).map_err(|e| e.to_string())?;
+    let demands = shape_demands(args, resolve_fleet_demands(&spec)?)?;
+    let pools = spec
+        .pools
         .into_iter()
-        .map(|(p, demand)| (p.name.clone(), demand))
+        .zip(demands)
+        .map(|(p, (demand, faults))| {
+            let mut cfg = fleet_sim_config(&p, &demand);
+            cfg.faults = faults;
+            (p, cfg, demand)
+        })
         .collect();
-    let plan = scenario.apply(named).map_err(|e| e.to_string())?;
-    println!("{}", plan.summary);
-    Ok(entries
-        .into_iter()
-        .zip(plan.demand)
-        .zip(plan.faults)
-        .map(|((entry, (_, demand)), (_, faults))| (entry, demand, faults))
-        .collect())
+    Ok((pools, spec.matrix.as_ref().map(build_matrix)))
 }
 
 fn load_demand(args: &CliArgs) -> Result<TimeSeries, String> {
@@ -426,19 +432,14 @@ fn evaluate(args: &CliArgs) -> Result<(), String> {
     Ok(())
 }
 
-fn simulate(args: &CliArgs) -> Result<(), String> {
-    if args.flag_str("list-scenarios").is_some() {
-        return list_scenarios();
-    }
-    if let Some(spec_path) = args.flag_str("pools") {
-        return simulate_fleet(args, spec_path);
-    }
-    let mut demand = load_demand(args)?;
+/// The single pool the flags describe (`<file>`, `--target`, `--tau-secs`,
+/// `--seed`, `--interval`), scenario-shaped under the pool name
+/// `"default"`.
+fn single_pool(args: &CliArgs) -> Result<(SimConfig, TimeSeries), String> {
+    let demand = load_demand(args)?;
     let target = args.flag_or("target", 4u32).map_err(|e| e.to_string())?;
     let tau_secs = args.flag_or("tau-secs", 90u64).map_err(|e| e.to_string())?;
     let seed = args.flag_or("seed", 0u64).map_err(|e| e.to_string())?;
-    let alpha = args.flag_or("alpha", 0.3f64).map_err(|e| e.to_string())?;
-    let ip_model = args.flag_str("ip");
     let mut cfg = SimConfig {
         interval_secs: demand.interval_secs(),
         tau_secs,
@@ -446,9 +447,23 @@ fn simulate(args: &CliArgs) -> Result<(), String> {
         seed,
         ..Default::default()
     };
-    if let Some(scenario) = resolve_scenario(args)? {
-        demand = apply_scenario_single(&scenario, demand, &mut cfg)?;
+    let (demand, faults) = shape_demands(args, vec![("default".to_string(), demand)])?
+        .pop()
+        .expect("one pool in, one pool out");
+    cfg.faults = faults;
+    Ok((cfg, demand))
+}
+
+fn simulate(args: &CliArgs) -> Result<(), String> {
+    if args.flag_str("list-scenarios").is_some() {
+        return list_scenarios();
     }
+    if let Some(spec_path) = args.flag_str("pools") {
+        return simulate_fleet(args, spec_path);
+    }
+    let (mut cfg, demand) = single_pool(args)?;
+    let alpha = args.flag_or("alpha", 0.3f64).map_err(|e| e.to_string())?;
+    let ip_model = args.flag_str("ip");
     let saa = SaaConfig {
         alpha_prime: alpha,
         ..Default::default()
@@ -499,20 +514,9 @@ fn simulate(args: &CliArgs) -> Result<(), String> {
 /// events interleaved in logical-time order, then per-pool results plus
 /// the fleet aggregate.
 fn simulate_fleet(args: &CliArgs, spec_path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let spec = parse_fleet_spec(&text).map_err(|e| e.to_string())?;
-    let resolved = resolve_fleet_demands(&spec)?;
-    let resolved = match resolve_scenario(args)? {
-        Some(scenario) => apply_scenario_fleet(&scenario, resolved)?,
-        None => resolved
-            .into_iter()
-            .map(|(p, d)| (p, d, Vec::new()))
-            .collect(),
-    };
-    let mut members = Vec::with_capacity(spec.pools.len());
-    for (p, demand, faults) in resolved {
-        let mut cfg = fleet_sim_config(&p, &demand);
-        cfg.faults = faults;
+    let (pools, matrix) = load_fleet(args, spec_path)?;
+    let mut members = Vec::with_capacity(pools.len());
+    for (p, cfg, demand) in pools {
         let mut pool = FleetPool::new(p.name.as_str(), cfg, demand);
         if let Some(model) = &p.model {
             let provider = intelligent_pooling::serve::build_provider(
@@ -527,13 +531,10 @@ fn simulate_fleet(args: &CliArgs, spec_path: &str) -> Result<(), String> {
         members.push(pool);
     }
     let mut sim = FleetSim::new(members).map_err(|e| e.to_string())?;
-    let borrowing = match &spec.matrix {
-        Some(m) => {
-            sim.set_matrix(build_matrix(m)).map_err(|e| e.to_string())?;
-            sim.borrowing_enabled()
-        }
-        None => false,
-    };
+    if let Some(matrix) = matrix {
+        sim.set_matrix(matrix).map_err(|e| e.to_string())?;
+    }
+    let borrowing = sim.borrowing_enabled();
     sim.run_to_end();
     let report = sim.finalize();
 
@@ -588,54 +589,51 @@ fn simulate_fleet(args: &CliArgs, spec_path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// `serve --pools`: every spec entry becomes one named pool in the fleet
-/// daemon, plus the spec's borrow matrix (if any).
-fn fleet_serve_pools(
-    args: &CliArgs,
-    spec_path: &str,
-) -> Result<
-    (
-        Vec<intelligent_pooling::serve::PoolServeConfig>,
-        Option<CompatibilityMatrix>,
-    ),
-    String,
-> {
-    use intelligent_pooling::serve::PoolServeConfig;
-    let text = std::fs::read_to_string(spec_path).map_err(|e| format!("{spec_path}: {e}"))?;
-    let spec = parse_fleet_spec(&text).map_err(|e| e.to_string())?;
-    let resolved = resolve_fleet_demands(&spec)?;
-    let resolved = match resolve_scenario(args)? {
-        Some(scenario) => apply_scenario_fleet(&scenario, resolved)?,
-        None => resolved
-            .into_iter()
-            .map(|(p, d)| (p, d, Vec::new()))
-            .collect(),
-    };
-    let pools = resolved
-        .into_iter()
-        .map(|(p, demand, faults)| {
-            let mut sim = fleet_sim_config(&p, &demand);
-            sim.faults = faults;
-            PoolServeConfig {
+/// `serve`: the pools come from the flags (one anonymous pool) or from a
+/// `--pools` spec (one named pool per entry, plus the spec's borrow
+/// matrix); either way the daemon runs them as one fleet.
+fn serve(args: &CliArgs) -> Result<(), String> {
+    use intelligent_pooling::serve::{Daemon, PoolServeConfig, ServeConfig};
+    let spec_path = args.flag_str("pools");
+    let (pools, matrix) = match spec_path {
+        Some(path) => {
+            let (pools, matrix) = load_fleet(args, path)?;
+            let pools = pools
+                .into_iter()
+                .map(|(p, sim, demand)| PoolServeConfig {
+                    sim,
+                    model: p.model,
+                    alpha: p.alpha,
+                    autotune: p.autotune,
+                    target_wait_secs: p.target_wait_secs,
+                    ..PoolServeConfig::named(p.name, demand)
+                })
+                .collect();
+            (pools, matrix)
+        }
+        None => {
+            let (sim, demand) = single_pool(args)?;
+            let pool = PoolServeConfig {
                 sim,
-                model: p.model,
-                alpha: p.alpha,
-                autotune: p.autotune,
-                target_wait_secs: p.target_wait_secs,
-                ..PoolServeConfig::named(p.name, demand)
-            }
-        })
-        .collect();
-    Ok((pools, spec.matrix.as_ref().map(build_matrix)))
-}
-
-/// Applies the PR 8 observability flags (`--flight-out`, `--slow-us`,
-/// `--slo-hit`, `--slo-wait`) shared by the single-pool and fleet serve
-/// paths.
-fn apply_serve_obs_flags(
-    args: &CliArgs,
-    config: &mut intelligent_pooling::serve::ServeConfig,
-) -> Result<(), String> {
+                model: args.flag_str("model").map(str::to_owned),
+                alpha: args.flag_or("alpha", 0.3f64).map_err(|e| e.to_string())?,
+                autotune: args.flag_or("autotune", false).map_err(|e| e.to_string())?,
+                target_wait_secs: args
+                    .flag_or("target-wait", 30.0f64)
+                    .map_err(|e| e.to_string())?,
+                ..PoolServeConfig::new(demand)
+            };
+            (vec![pool], None)
+        }
+    };
+    let mut config = ServeConfig::fleet(pools)?;
+    config.matrix = matrix;
+    config.speedup = args.flag_or("speedup", 1.0f64).map_err(|e| e.to_string())?;
+    config.port = args.flag_or("port", 0u16).map_err(|e| e.to_string())?;
+    config.workers = args.flag_or("workers", 0usize).map_err(|e| e.to_string())?;
+    config.keep_alive = args
+        .flag_or("keep-alive", true)
+        .map_err(|e| e.to_string())?;
     config.flight_out = args.flag_str("flight-out").map(str::to_owned);
     config.slow_request_micros = args
         .flag_or("slow-us", config.slow_request_micros)
@@ -652,40 +650,20 @@ fn apply_serve_obs_flags(
             config.slo.hit_rate_objective
         ));
     }
-    Ok(())
-}
 
-fn serve(args: &CliArgs) -> Result<(), String> {
-    use intelligent_pooling::serve::{Daemon, ServeConfig};
-    if let Some(spec_path) = args.flag_str("pools") {
-        let port = args.flag_or("port", 0u16).map_err(|e| e.to_string())?;
-        let speedup = args.flag_or("speedup", 1.0f64).map_err(|e| e.to_string())?;
-        let workers = args.flag_or("workers", 0usize).map_err(|e| e.to_string())?;
-        let keep_alive = args
-            .flag_or("keep-alive", true)
-            .map_err(|e| e.to_string())?;
-        let (pools, matrix) = fleet_serve_pools(args, spec_path)?;
-        let mut config = ServeConfig::fleet(pools)?;
-        config.matrix = matrix;
-        config.speedup = speedup;
-        config.port = port;
-        config.workers = workers;
-        config.keep_alive = keep_alive;
-        apply_serve_obs_flags(args, &mut config)?;
-
-        let daemon = Daemon::start(config)?;
-        let addr = daemon.addr();
-        println!("ip-pool serve: listening on http://{addr}");
-        println!("ip-pool serve: POST /shutdown to drain and exit");
-        if let Some(path) = args.flag_str("port-file") {
-            std::fs::write(path, format!("{}\n", addr.port()))
-                .map_err(|e| format!("{path}: {e}"))?;
-        }
-        let outcome = daemon.join();
-        println!(
-            "ip-pool serve: drained ({} injected, {} reloads, {} lease lapses)",
-            outcome.injected, outcome.reloads, outcome.lapsed_leases
-        );
+    let daemon = Daemon::start(config)?;
+    let addr = daemon.addr();
+    println!("ip-pool serve: listening on http://{addr}");
+    println!("ip-pool serve: POST /shutdown to drain and exit");
+    if let Some(path) = args.flag_str("port-file") {
+        std::fs::write(path, format!("{}\n", addr.port())).map_err(|e| format!("{path}: {e}"))?;
+    }
+    let outcome = daemon.join();
+    println!(
+        "ip-pool serve: drained ({} injected, {} reloads, {} lease lapses)",
+        outcome.injected, outcome.reloads, outcome.lapsed_leases
+    );
+    if spec_path.is_some() {
         println!(
             "{:<18} {:>10} {:>9} {:>11} {:>10}",
             "pool", "requests", "hit rate", "mean wait", "intervals"
@@ -700,59 +678,8 @@ fn serve(args: &CliArgs) -> Result<(), String> {
                 report.interval_stats.len()
             );
         }
-        return Ok(());
-    }
-    let mut demand = load_demand(args)?;
-    let target = args.flag_or("target", 4u32).map_err(|e| e.to_string())?;
-    let tau_secs = args.flag_or("tau-secs", 90u64).map_err(|e| e.to_string())?;
-    let seed = args.flag_or("seed", 0u64).map_err(|e| e.to_string())?;
-    let alpha = args.flag_or("alpha", 0.3f64).map_err(|e| e.to_string())?;
-    let port = args.flag_or("port", 0u16).map_err(|e| e.to_string())?;
-    let speedup = args.flag_or("speedup", 1.0f64).map_err(|e| e.to_string())?;
-    let target_wait = args
-        .flag_or("target-wait", 30.0f64)
-        .map_err(|e| e.to_string())?;
-    let autotune = args.flag_or("autotune", false).map_err(|e| e.to_string())?;
-    let workers = args.flag_or("workers", 0usize).map_err(|e| e.to_string())?;
-    let keep_alive = args
-        .flag_or("keep-alive", true)
-        .map_err(|e| e.to_string())?;
-
-    let mut sim = SimConfig {
-        interval_secs: demand.interval_secs(),
-        tau_secs,
-        default_pool_target: target,
-        seed,
-        ..Default::default()
-    };
-    if let Some(scenario) = resolve_scenario(args)? {
-        demand = apply_scenario_single(&scenario, demand, &mut sim)?;
-    }
-    let mut config = ServeConfig::new(demand);
-    config.sim = sim;
-    config.model = args.flag_str("model").map(str::to_owned);
-    config.alpha = alpha;
-    config.autotune = autotune;
-    config.target_wait_secs = target_wait;
-    config.speedup = speedup;
-    config.port = port;
-    config.workers = workers;
-    config.keep_alive = keep_alive;
-    apply_serve_obs_flags(args, &mut config)?;
-
-    let daemon = Daemon::start(config)?;
-    let addr = daemon.addr();
-    println!("ip-pool serve: listening on http://{addr}");
-    println!("ip-pool serve: POST /shutdown to drain and exit");
-    if let Some(path) = args.flag_str("port-file") {
-        std::fs::write(path, format!("{}\n", addr.port())).map_err(|e| format!("{path}: {e}"))?;
-    }
-    let outcome = daemon.join();
-    println!(
-        "ip-pool serve: drained ({} injected, {} reloads, {} lease lapses)",
-        outcome.injected, outcome.reloads, outcome.lapsed_leases
-    );
-    if let Some(report) = outcome.report {
+    } else {
+        let (_, report) = &outcome.pool_reports[0];
         println!("requests        : {}", report.total_requests);
         println!("hits / misses   : {} / {}", report.hits, report.misses);
         println!("hit rate        : {:.2}%", report.hit_rate * 100.0);
