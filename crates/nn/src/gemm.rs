@@ -14,9 +14,8 @@
 //! (the `ip-par` contract). Unlike the naive kernels these replaced, there is
 //! no `a == 0.0` skip: `0 · NaN` and `0 · ∞` propagate as IEEE 754 requires.
 //!
-//! The [`reference`] module keeps straightforward scalar kernels (also
-//! without the zero-skip) as the benchmarking baseline and as an oracle for
-//! the tests.
+//! The test-only `reference` module keeps straightforward scalar kernels
+//! (also without the zero-skip) as the oracle the tests compare against.
 
 use std::cell::Cell;
 
@@ -184,11 +183,11 @@ pub fn gemm_tn_with(
     gemm_nt_with(threads, at, btm, out, p, m, n);
 }
 
-/// Straightforward scalar kernels: the pre-optimization baseline, selectable
-/// at runtime with `IP_NN_NAIVE=1` so the bench harness can measure
-/// before/after in one binary. These intentionally do **not** skip zero
-/// operands — the original `matmul2` fast-path broke NaN/Inf propagation.
-pub mod reference {
+/// Straightforward scalar kernels: the oracle for the blocked GEMMs and the
+/// graph's im2col conv1d. These intentionally do **not** skip zero operands
+/// — the original `matmul2` fast-path broke NaN/Inf propagation.
+#[cfg(test)]
+mod reference {
     /// `A[m,k] · B[k,n]`.
     pub fn matmul_nn(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
         let mut out = vec![0.0f32; m * n];
@@ -451,5 +450,59 @@ mod tests {
             [1., 3., 5., 7., 4.]
         );
         assert_eq!(reference::conv1d(&x, &w, 1, 1, 4, 1, 2, 0, 2, 2), [3., 7.]);
+    }
+
+    /// The graph's im2col + GEMM conv1d, forward and backward, agrees with
+    /// the direct loops on multi-channel, padded and strided shapes.
+    #[test]
+    fn graph_conv1d_matches_reference_both_directions() {
+        use crate::graph::Graph;
+        use crate::tensor::Tensor;
+        let close = |got: &[f32], want: &[f32], what: &str| {
+            assert_eq!(got.len(), want.len(), "{what}: length");
+            for (x, y) in got.iter().zip(want) {
+                assert!(
+                    (x - y).abs() <= 1e-4 * y.abs().max(1.0),
+                    "{what}: {x} vs {y}"
+                );
+            }
+        };
+        for &(b, cin, l, cout, k, padding, stride) in &[
+            (1, 1, 4, 1, 2, 0, 1),
+            (2, 3, 11, 4, 3, 1, 1),
+            (3, 2, 17, 5, 4, 2, 3),
+            (2, 4, 9, 3, 9, 0, 1),
+        ] {
+            let lout = (l + 2 * padding - k) / stride + 1;
+            let x = fill(b * cin * l, 10);
+            let w = fill(cout * cin * k, 11);
+            let gout = fill(b * cout * lout, 12);
+            let mut g = Graph::new(0);
+            let xp = g.param(Tensor::new(&[b, cin, l], x.clone()).unwrap());
+            let wp = g.param(Tensor::new(&[cout, cin, k], w.clone()).unwrap());
+            g.freeze();
+            let y = g.conv1d(xp, wp, padding, stride);
+            let shape = format!("{b}x{cin}x{l} * {cout}x{cin}x{k} p{padding} s{stride}");
+            let want_y = reference::conv1d(&x, &w, b, cin, l, cout, k, padding, stride, lout);
+            close(g.value(y).data(), &want_y, &format!("forward {shape}"));
+            // loss = Σ y ⊙ G, so dL/dy = G.
+            let gc = g.constant(Tensor::new(&[b, cout, lout], gout.clone()).unwrap());
+            let prod = g.mul(y, gc);
+            let loss = g.sum(prod);
+            g.backward(loss);
+            let (want_dx, want_dw) = reference::conv1d_backward(
+                &x, &w, &gout, b, cin, l, cout, k, padding, stride, lout,
+            );
+            close(
+                g.grad(xp).unwrap().data(),
+                &want_dx,
+                &format!("d_input {shape}"),
+            );
+            close(
+                g.grad(wp).unwrap().data(),
+                &want_dw,
+                &format!("d_weight {shape}"),
+            );
+        }
     }
 }

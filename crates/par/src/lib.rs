@@ -11,10 +11,9 @@
 //! unparseable, it falls back to [`std::thread::available_parallelism`]. A
 //! value of `1` (either way) makes every combinator run serially inline —
 //! the degenerate path has zero spawn overhead, which keeps single-core
-//! containers and `IP_THREADS=1` debugging honest. Batches smaller than
-//! [`spawn_min_items`] (default 2, `IP_PAR_MIN_ITEMS` to raise) also run
-//! inline: spawning threads for a handful of cheap items is exactly the
-//! overhead-at-parity the PR-5 bench exposed on a single-core host.
+//! containers and `IP_THREADS=1` debugging honest. A batch of fewer than two
+//! items also runs inline: there is nothing to split, so a spawn would be
+//! pure overhead.
 //!
 //! # Determinism
 //!
@@ -39,22 +38,6 @@ pub fn num_threads() -> usize {
             _ => available(),
         },
         Err(_) => available(),
-    }
-}
-
-/// Minimum number of work items below which every combinator runs inline
-/// on the caller's thread, regardless of the thread count. `IP_PAR_MIN_ITEMS`
-/// overrides (values < 2 clamp to 2); the default of 2 spawns for any
-/// divisible batch. Raising it trades parallelism on small batches for zero
-/// spawn/handoff overhead — the right call when per-item work is cheap or
-/// the host has fewer cores than `IP_THREADS` claims.
-pub fn spawn_min_items() -> usize {
-    match std::env::var("IP_PAR_MIN_ITEMS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) => n.max(2),
-            _ => 2,
-        },
-        Err(_) => 2,
     }
 }
 
@@ -95,14 +78,14 @@ where
     par_map_with(num_threads(), items, f)
 }
 
-/// [`par_map`] with an explicit thread count (used by the scaling bench).
+/// [`par_map`] with an explicit thread count.
 pub fn par_map_with<T, R, F>(threads: usize, items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if threads <= 1 || items.len() < spawn_min_items() {
+    if threads <= 1 || items.len() < 2 {
         return items.iter().map(f).collect();
     }
     let ranges = partition(items.len(), threads);
@@ -144,16 +127,15 @@ where
 
 /// [`par_map_mut`] with an explicit thread count.
 ///
-/// With `threads <= 1`, a single item, or fewer than [`spawn_min_items`]
-/// items, everything runs inline on the caller's thread — no scope, no
-/// spawn, no handoff.
+/// With `threads <= 1` or fewer than two items, everything runs inline on
+/// the caller's thread — no scope, no spawn, no handoff.
 pub fn par_map_mut_with<T, R, F>(threads: usize, items: &mut [T], f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(usize, &mut T) -> R + Sync,
 {
-    if threads <= 1 || items.len() < spawn_min_items() {
+    if threads <= 1 || items.len() < 2 {
         return items
             .iter_mut()
             .enumerate()
@@ -206,7 +188,7 @@ pub fn par_for_with<F>(threads: usize, len: usize, f: F)
 where
     F: Fn(usize) + Sync,
 {
-    if threads <= 1 || len < spawn_min_items() {
+    if threads <= 1 || len < 2 {
         for i in 0..len {
             f(i);
         }
@@ -426,9 +408,9 @@ mod tests {
         assert_eq!(items, (0..23).collect::<Vec<_>>());
     }
 
-    /// The overhead-at-parity fix: with one thread, one item, or an item
-    /// count below the spawn threshold, no worker machinery may exist —
-    /// every invocation must run on the caller's own thread.
+    /// The overhead-at-parity fix: with one thread or one item, no worker
+    /// machinery may exist — every invocation must run on the caller's own
+    /// thread.
     #[test]
     fn single_thread_and_small_batches_run_on_the_caller_thread() {
         let caller = std::thread::current().id();
@@ -467,22 +449,6 @@ mod tests {
             ids.lock().unwrap().push(std::thread::current().id())
         });
         on_caller("par_for threads=1", ids.into_inner().unwrap());
-
-        // Below the spawn threshold (env-raised), even many threads and
-        // several items stay inline. Results are bit-identical either way —
-        // the threshold only moves work onto the caller's stack.
-        std::env::set_var("IP_PAR_MIN_ITEMS", "64");
-        on_caller(
-            "par_map below threshold",
-            par_map_with(8, &items, |_| std::thread::current().id()),
-        );
-        let mut many = [0u8; 16];
-        on_caller(
-            "par_map_mut below threshold",
-            par_map_mut_with(8, &mut many, |_, _| std::thread::current().id()),
-        );
-        std::env::remove_var("IP_PAR_MIN_ITEMS");
-        assert_eq!(spawn_min_items(), 2, "default threshold");
     }
 
     #[test]

@@ -331,7 +331,16 @@ impl Controller {
         }
     }
 
-    /// `true` once every pool's trace has been processed (or finalized).
+    /// `true` once every pool's stepper has run its last event before the
+    /// trace end (or the run was finalized).
+    ///
+    /// This is not the injection cut-off. A pool refuses arrivals (409
+    /// "trace complete") as soon as its last demand interval is processed,
+    /// while events after that interval but before the trace end (cluster
+    /// readiness, expiries) may still be queued. For up to one interval,
+    /// [`Controller::inject_batch`] can therefore reject a pool while
+    /// `is_done()` is still `false`; a caller that injects until `is_done()`
+    /// must treat that 409 as the end of the trace.
     pub fn is_done(&self) -> bool {
         self.fleet.as_ref().is_none_or(FleetSim::is_done)
     }
@@ -1239,6 +1248,40 @@ mod tests {
                 "{ida}: targets"
             );
         }
+    }
+
+    /// Injection and `is_done` answer different questions. A pool refuses
+    /// arrivals as soon as its last interval is processed, but `is_done`
+    /// waits until every event before the trace end has run, so for up to
+    /// one interval the controller rejects injects while not yet done.
+    #[test]
+    fn a_pool_refuses_injects_before_the_controller_is_done() {
+        let n = 40;
+        let mut ctl = Controller::new(
+            vec![PoolServeConfig {
+                sim: SimConfig {
+                    default_pool_target: 2,
+                    // Replenishment lands 10 s after the last interval's
+                    // hand-offs: still before the trace end at n·30 s.
+                    tau_secs: 10,
+                    tau_jitter_secs: 0,
+                    ..Default::default()
+                },
+                ..PoolServeConfig::new(demand(n))
+            }],
+            300,
+        )
+        .unwrap();
+        let last_interval = (n as u64 - 1) * 30;
+        ctl.step_to(last_interval);
+        assert_eq!(ctl.processed_intervals_of(0), n);
+        assert!(!ctl.is_done(), "an event before the trace end is pending");
+        let err = ctl.inject_batch(&[(0, 1, None)]).unwrap_err();
+        assert_eq!(err.status, 409, "{}", err.message);
+        assert!(err.message.contains("trace complete"), "{}", err.message);
+        assert_eq!(ctl.injected(), 0);
+        ctl.step_to(n as u64 * 30);
+        assert!(ctl.is_done());
     }
 
     #[test]

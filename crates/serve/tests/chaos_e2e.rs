@@ -132,8 +132,22 @@ fn daemon_survives_every_catalog_scenario() {
         let addr = daemon.addr();
 
         // Light control-plane load while the replay (and the faults) run:
-        // liveness and the exposition endpoint must answer throughout.
+        // liveness and the exposition endpoint must answer throughout, and
+        // a two-pool inject batch must land (200) until a pool's trace is
+        // complete (409).
+        let batch = r#"[{"count":1,"pool":"east"},{"count":1,"pool":"west"}]"#;
+        let mut accepted_entries = 0u64;
         loop {
+            let (code, body) = http(addr, "POST", "/requests", batch);
+            match code {
+                200 => accepted_entries += 2,
+                409 => assert!(
+                    body.contains("trace complete"),
+                    "{}: unexpected 409: {body}",
+                    info.name
+                ),
+                _ => panic!("{}: inject batch answered {code}: {body}", info.name),
+            }
             let (code, body) = http(addr, "GET", "/healthz", "");
             assert_eq!(code, 200, "{}: /healthz failed: {body}", info.name);
             let (code, body) = http(addr, "GET", "/metrics", "");
@@ -145,6 +159,11 @@ fn daemon_survives_every_catalog_scenario() {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
+        assert!(
+            accepted_entries > 0,
+            "{}: no inject batch landed while the faults fired",
+            info.name
+        );
 
         // SLO evaluation stays available under chaos.
         let (code, body) = http(addr, "GET", "/slo", "");
@@ -203,6 +222,11 @@ fn daemon_survives_every_catalog_scenario() {
             outcome.pool_reports.len(),
             2,
             "{}: both pools finalized",
+            info.name
+        );
+        assert_eq!(
+            outcome.injected, accepted_entries,
+            "{}: daemon-side inject count must match the accepted entries",
             info.name
         );
         let recorded: usize = outcome

@@ -319,7 +319,11 @@ impl FleetSim {
         self.members[i].provider = provider;
     }
 
-    /// `true` when every pool's stepper has processed its whole trace.
+    /// `true` when every pool's stepper has run every event strictly before
+    /// its trace end ([`SimStepper::is_done`]). A pool's last demand
+    /// interval is processed earlier than that, when the event at its start
+    /// runs; events after it (cluster readiness, expiries) can keep a pool
+    /// not done for up to one more interval.
     pub fn is_done(&self) -> bool {
         self.members.iter().all(|m| m.stepper.is_done())
     }
