@@ -331,18 +331,22 @@ impl Controller {
         }
     }
 
-    /// `true` once every pool's stepper has run its last event before the
-    /// trace end (or the run was finalized).
+    /// `true` once every pool has processed its last demand interval (or
+    /// the run was finalized). This is the injection cut-off: from here on
+    /// every pool refuses arrivals (409 "trace complete"), and before it
+    /// none does for that reason.
     ///
-    /// This is not the injection cut-off. A pool refuses arrivals (409
-    /// "trace complete") as soon as its last demand interval is processed,
-    /// while events after that interval but before the trace end (cluster
-    /// readiness, expiries) may still be queued. For up to one interval,
-    /// [`Controller::inject_batch`] can therefore reject a pool while
-    /// `is_done()` is still `false`; a caller that injects until `is_done()`
-    /// must treat that 409 as the end of the trace.
+    /// Events after a pool's last interval but before its trace end
+    /// (cluster readiness, expiries) may still be queued; stepping to
+    /// `u64::MAX` runs them, which the daemon does before it finalizes.
     pub fn is_done(&self) -> bool {
-        self.fleet.as_ref().is_none_or(FleetSim::is_done)
+        (0..self.pools.len()).all(|i| self.pool_done(i))
+    }
+
+    /// Whether pool `i` has processed its last demand interval, so that no
+    /// arrival can land on it any more.
+    fn pool_done(&self, i: usize) -> bool {
+        self.fleet.is_none() || self.processed_intervals_of(i) >= self.pools[i].intervals_total
     }
 
     /// Logical time every pool has processed through.
@@ -427,22 +431,14 @@ impl Controller {
         if count == 0 {
             return Err(ControlError::bad_request("count must be >= 1"));
         }
+        if self.pool_done(i) {
+            return Err(ControlError::conflict(format!(
+                "pool {:?} trace complete; it no longer accepts arrivals",
+                self.pools[i].id.as_str()
+            )));
+        }
         let total = self.pools[i].intervals_total;
-        let done =
-            self.fleet.is_none() || self.fleet.as_ref().is_some_and(|f| f.stepper(i).is_done());
-        if done {
-            return Err(ControlError::conflict(format!(
-                "pool {:?} trace complete; it no longer accepts arrivals",
-                self.pools[i].id.as_str()
-            )));
-        }
         let earliest = self.processed_intervals_of(i);
-        if earliest >= total {
-            return Err(ControlError::conflict(format!(
-                "pool {:?} trace complete; it no longer accepts arrivals",
-                self.pools[i].id.as_str()
-            )));
-        }
         let idx = interval.unwrap_or(earliest).max(earliest);
         if idx >= total {
             return Err(ControlError::conflict(format!(
@@ -1001,7 +997,7 @@ impl Controller {
             Some(m) => Content::Str(m.clone()),
             None => Content::Null,
         };
-        let done = self.fleet.as_ref().is_none_or(|f| f.stepper(i).is_done());
+        let done = self.pool_done(i);
         let watermark = match &self.fleet {
             Some(fleet) => fleet.stepper(i).watermark(),
             None => p.end_time,
@@ -1250,15 +1246,58 @@ mod tests {
         }
     }
 
-    /// Injection and `is_done` answer different questions. A pool refuses
-    /// arrivals as soon as its last interval is processed, but `is_done`
-    /// waits until every event before the trace end has run, so for up to
-    /// one interval the controller rejects injects while not yet done.
+    /// The final report fields the bit-identity tests compare.
+    fn assert_same_report(a: &SimReport, b: &SimReport, what: &str) {
+        assert_eq!(a.total_requests, b.total_requests, "{what}: requests");
+        assert_eq!(a.hits, b.hits, "{what}: hits");
+        assert_eq!(a.misses, b.misses, "{what}: misses");
+        assert_eq!(a.total_wait_secs, b.total_wait_secs, "{what}: wait");
+        assert_eq!(
+            a.idle_cluster_seconds, b.idle_cluster_seconds,
+            "{what}: idle"
+        );
+        assert_eq!(
+            a.provisioning_cluster_seconds, b.provisioning_cluster_seconds,
+            "{what}: provisioning"
+        );
+        assert_eq!(a.clusters_created, b.clusters_created, "{what}: created");
+        assert_eq!(a.borrowed_in, b.borrowed_in, "{what}: borrowed in");
+        assert_eq!(a.borrowed_out, b.borrowed_out, "{what}: borrowed out");
+        assert_eq!(a.borrow_records, b.borrow_records, "{what}: borrows");
+        assert_eq!(a.interval_stats, b.interval_stats, "{what}: stats");
+    }
+
+    /// Replays `pools` with their demand swapped for `demands` in one
+    /// `step_to(u64::MAX)` and returns the final reports.
+    fn one_shot(
+        pools: &[PoolServeConfig],
+        demands: &[TimeSeries],
+        matrix: Option<CompatibilityMatrix>,
+    ) -> Vec<(PoolId, SimReport)> {
+        let pools = pools
+            .iter()
+            .zip(demands)
+            .map(|(p, d)| PoolServeConfig {
+                demand: d.clone(),
+                ..p.clone()
+            })
+            .collect();
+        let mut ctl = Controller::with_matrix(pools, 300, matrix).unwrap();
+        ctl.step_to(u64::MAX);
+        ctl.finalize();
+        ctl.take_reports()
+    }
+
+    /// `is_done` is the injection cut-off: a pool accepts arrivals at every
+    /// step before the controller is done and refuses them (409 "trace
+    /// complete") from the step that makes it done, even while events
+    /// before the trace end are still queued.
     #[test]
-    fn a_pool_refuses_injects_before_the_controller_is_done() {
+    fn a_pool_refuses_injects_exactly_when_the_controller_is_done() {
         let n = 40;
-        let mut ctl = Controller::new(
-            vec![PoolServeConfig {
+        let pools: Vec<PoolServeConfig> = ["east", "west"]
+            .into_iter()
+            .map(|name| PoolServeConfig {
                 sim: SimConfig {
                     default_pool_target: 2,
                     // Replenishment lands 10 s after the last interval's
@@ -1267,21 +1306,121 @@ mod tests {
                     tau_jitter_secs: 0,
                     ..Default::default()
                 },
-                ..PoolServeConfig::new(demand(n))
-            }],
-            300,
-        )
-        .unwrap();
-        let last_interval = (n as u64 - 1) * 30;
-        ctl.step_to(last_interval);
-        assert_eq!(ctl.processed_intervals_of(0), n);
-        assert!(!ctl.is_done(), "an event before the trace end is pending");
-        let err = ctl.inject_batch(&[(0, 1, None)]).unwrap_err();
-        assert_eq!(err.status, 409, "{}", err.message);
-        assert!(err.message.contains("trace complete"), "{}", err.message);
-        assert_eq!(ctl.injected(), 0);
-        ctl.step_to(n as u64 * 30);
-        assert!(ctl.is_done());
+                ..PoolServeConfig::named(name, demand(n))
+            })
+            .collect();
+        let mut ctl = Controller::new(pools.clone(), 300).unwrap();
+        let mut t = 0;
+        loop {
+            let done = ctl.is_done();
+            for i in 0..2 {
+                let answer = ctl.inject_batch(&[(i, 1, None)]);
+                match answer {
+                    Ok(_) => assert!(!done, "pool {i} accepted an inject after is_done at t={t}"),
+                    Err(err) => {
+                        assert!(
+                            done,
+                            "pool {i} refused at t={t} before is_done: {}",
+                            err.message
+                        );
+                        assert_eq!(err.status, 409, "{}", err.message);
+                        assert!(err.message.contains("trace complete"), "{}", err.message);
+                    }
+                }
+            }
+            if done {
+                break;
+            }
+            ctl.step_to(t);
+            t += 30;
+        }
+        assert_eq!(t, n as u64 * 30, "done right after the last interval");
+        assert!(
+            ctl.fleet.as_ref().is_some_and(|f| !f.is_done()),
+            "a replenishment before the trace end is still queued"
+        );
+        assert_eq!(ctl.injected(), 2 * n as u64);
+        let demands: Vec<TimeSeries> = (0..2)
+            .map(|i| ctl.effective_demand(i).unwrap().clone())
+            .collect();
+        ctl.step_to(u64::MAX);
+        ctl.finalize();
+        for ((id, live), (_, offline)) in ctl
+            .take_reports()
+            .iter()
+            .zip(one_shot(&pools, &demands, None))
+        {
+            assert_same_report(live, &offline, id.as_str());
+        }
+    }
+
+    /// The benchmark's in-process loop without its clock: three pools
+    /// under a permissive matrix, 41 batches of 16 round-robin entries per
+    /// tick, every entry on its pool's last interval, one interval per
+    /// tick until `is_done()`. No batch is refused, and the final reports
+    /// equal a one-shot replay of the effective demand.
+    #[test]
+    fn injecting_until_done_never_sees_a_conflict() {
+        const BATCH: usize = 16;
+        const BATCHES_PER_TICK: usize = 41;
+        let n = 48;
+        let names = ["s0", "s1", "s2"];
+        let pools: Vec<PoolServeConfig> = names
+            .iter()
+            .zip(0u64..)
+            .map(|(name, k)| PoolServeConfig {
+                sim: SimConfig {
+                    default_pool_target: 2 + k as u32,
+                    seed: 5 + k,
+                    ..Default::default()
+                },
+                ..PoolServeConfig::named(*name, demand(n))
+            })
+            .collect();
+        let matrix = || {
+            let mut m = CompatibilityMatrix::new();
+            for from in names {
+                for to in names {
+                    if from != to {
+                        m = m.edge(from, to, 10);
+                    }
+                }
+            }
+            m
+        };
+        let mut ctl = Controller::with_matrix(pools.clone(), 300, Some(matrix())).unwrap();
+        let items: Vec<(usize, u64, Option<usize>)> = (0..BATCH)
+            .map(|j| (j % names.len(), 1, Some(n - 1)))
+            .collect();
+        let mut logical = 0;
+        let mut ticks = 0;
+        while !ctl.is_done() {
+            for _ in 0..BATCHES_PER_TICK {
+                if let Err(err) = ctl.inject_batch(&items) {
+                    panic!("tick {ticks}: {} {}", err.status, err.message);
+                }
+            }
+            logical += 30;
+            ctl.step_to(logical);
+            ticks += 1;
+        }
+        assert_eq!(ticks, n - 1, "the last interval lands on the last tick");
+        assert_eq!(ctl.injected(), (ticks * BATCHES_PER_TICK * BATCH) as u64);
+        let demands: Vec<TimeSeries> = (0..names.len())
+            .map(|i| ctl.effective_demand(i).unwrap().clone())
+            .collect();
+        ctl.step_to(u64::MAX);
+        ctl.finalize();
+        let live = ctl.take_reports();
+        assert!(
+            live.iter().any(|(_, r)| r.borrowed_in > 0),
+            "the matrix lends"
+        );
+        for ((id, live), (_, offline)) in
+            live.iter().zip(one_shot(&pools, &demands, Some(matrix())))
+        {
+            assert_same_report(live, &offline, id.as_str());
+        }
     }
 
     #[test]

@@ -665,6 +665,12 @@ fn controller_loop(inner: &Inner) {
             let mut ctl = inner.ctl.lock().expect("controller poisoned");
             let _span = ip_obs::span("serve.tick");
             ctl.step_to(logical);
+            if ctl.is_done() {
+                // Every last interval is in and injects are refused: run
+                // out the events before the trace end so the final reports
+                // do not depend on where the wall clock stopped.
+                ctl.step_to(u64::MAX);
+            }
             for i in 0..pool_count {
                 {
                     let stats = ctl.interval_stats_of(i);

@@ -1,6 +1,8 @@
 //! Cluster lifecycle: the unit managed by the simulated Cluster Service.
 
-/// State of a simulated Spark cluster.
+/// State of a simulated Spark cluster while the pool manages it. A
+/// cluster handed to a customer, discarded, cancelled, retired, expired or
+/// donated leaves pool management and is dropped, so it has no state here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterState {
     /// VMs being allocated and stitched; ready at the stored time.
@@ -13,10 +15,6 @@ pub enum ClusterState {
         /// Second it entered the pool (for idle accounting).
         since: u64,
     },
-    /// Handed to a customer (leaves pool management).
-    InUse,
-    /// Retired: lifespan exceeded, failed, or cancelled during downsizing.
-    Retired,
 }
 
 /// A simulated cluster.
@@ -66,8 +64,6 @@ mod tests {
         assert!(c.is_provisioning());
         assert!(!c.is_ready());
         c.state = ClusterState::Ready { since: 100 };
-        assert!(c.is_ready());
-        c.state = ClusterState::InUse;
-        assert!(!c.is_ready() && !c.is_provisioning());
+        assert!(c.is_ready() && !c.is_provisioning());
     }
 }

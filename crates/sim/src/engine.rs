@@ -262,7 +262,9 @@ pub struct SimReport {
     /// Per-interval telemetry stream (one record per demand interval, last
     /// record carries the end-of-window totals).
     pub interval_stats: Vec<IntervalStat>,
-    /// Final telemetry store (hits/misses/requests metrics by time).
+    /// Final telemetry store. `requests`, `pool_hit` and `pool_miss` hold
+    /// per-interval counts (a zero hit or miss count writes no point);
+    /// borrow and fallback resolutions add one point each.
     pub telemetry: KustoLite,
     /// Final config store (recommendation file history).
     pub config_store: CosmosLite,
@@ -335,6 +337,11 @@ pub struct SimStepper {
     rng: StdRng,
     heap: BinaryHeap<Queued>,
     seq: u64,
+    /// Clusters under pool management: provisioning (re-hydration or
+    /// on-demand) or ready. A cluster leaves the map when it is handed to
+    /// a request, loses a hedge race, is cancelled, retired, expires or is
+    /// donated, so the map is bounded by the pool, not by the requests.
+    /// Ids are never reused, so an event for a departed id finds nothing.
     clusters: HashMap<u64, Cluster>,
     next_cluster_id: u64,
     ready_queue: VecDeque<u64>,
@@ -641,8 +648,8 @@ impl SimStepper {
             // requests", §7.1).
             while excess > 0 {
                 if let Some(id) = self.provisioning_pool.pop() {
-                    self.clusters.get_mut(&id).expect("known cluster").state =
-                        ClusterState::Retired;
+                    // Its ready event still fires and finds no cluster.
+                    self.clusters.remove(&id);
                     self.cancelled += 1;
                     if self.obs_on {
                         let pl = pool_labels(&self.cfg.pool);
@@ -655,8 +662,7 @@ impl SimStepper {
             }
             while excess > 0 {
                 if let Some(id) = self.ready_queue.pop_back() {
-                    self.clusters.get_mut(&id).expect("known cluster").state =
-                        ClusterState::Retired;
+                    self.clusters.remove(&id);
                     self.retired_downsize += 1;
                     if self.obs_on {
                         let pl = pool_labels(&self.cfg.pool);
@@ -849,7 +855,6 @@ impl SimStepper {
             self.total_requests += 1;
             if let Some(id) = self.ready_queue.pop_front() {
                 self.hits += 1;
-                self.telemetry.append("pool_hit", time, 1.0);
                 if self.obs_on {
                     let pl = pool_labels(&self.cfg.pool);
                     ip_obs::observe_with(
@@ -859,7 +864,8 @@ impl SimStepper {
                         0.0,
                     );
                 }
-                self.clusters.get_mut(&id).expect("known cluster").state = ClusterState::InUse;
+                // Handed to the request: it leaves pool management.
+                self.clusters.remove(&id);
             } else if self.defer_misses {
                 // Borrowing fleet: classification (borrowed hit vs
                 // on-demand miss) waits for epoch-boundary resolution, so
@@ -867,7 +873,6 @@ impl SimStepper {
                 self.pending_misses.push(time);
             } else {
                 self.misses += 1;
-                self.telemetry.append("pool_miss", time, 1.0);
                 // On-demand creation goes straight to the job service (it
                 // happens even during worker outages) and is dedicated to
                 // this request; with hedging several creations race for it.
@@ -896,6 +901,14 @@ impl SimStepper {
         }
         self.enforce_target(time);
         let (ihits, imisses) = (self.hits - pre_hits, self.misses - pre_misses);
+        // One point per interval and outcome: the store grows with the
+        // trace, not with the requests.
+        if ihits > 0 {
+            self.telemetry.append("pool_hit", time, ihits as f64);
+        }
+        if imisses > 0 {
+            self.telemetry.append("pool_miss", time, imisses as f64);
+        }
         let prev_idle = self
             .interval_stats
             .last()
@@ -961,22 +974,20 @@ impl SimStepper {
     }
 
     fn on_cluster_ready(&mut self, time: u64, id: u64) {
+        // A cluster cancelled while provisioning has already left the map.
         let Some(cluster) = self.clusters.get_mut(&id) else {
             return;
         };
-        if cluster.state == ClusterState::Retired {
-            return; // cancelled while provisioning
-        }
         if cluster.on_demand {
             // Hand it to the request that triggered it; hedge losers are
-            // discarded.
+            // discarded. Either way it never joins the pool.
+            self.clusters.remove(&id);
             let request_idx = self
                 .od_request_of
                 .remove(&id)
                 .expect("on-demand has a request");
             let request = &mut self.od_requests[request_idx];
             if request.served {
-                cluster.state = ClusterState::Retired;
                 self.hedges_discarded += 1;
             } else {
                 request.served = true;
@@ -991,7 +1002,6 @@ impl SimStepper {
                         wait,
                     );
                 }
-                cluster.state = ClusterState::InUse;
             }
         } else {
             self.provisioning_pool.retain(|&p| p != id);
@@ -1006,20 +1016,21 @@ impl SimStepper {
     }
 
     fn on_cluster_expire(&mut self, time: u64, id: u64) {
-        let Some(cluster) = self.clusters.get_mut(&id) else {
+        // Expiry is scheduled when a cluster turns ready, so one still in
+        // the map is sitting in the ready queue; one handed off, donated or
+        // retired has already left.
+        let Some(cluster) = self.clusters.remove(&id) else {
             return;
         };
-        if cluster.is_ready() {
-            cluster.state = ClusterState::Retired;
-            self.ready_queue.retain(|&r| r != id);
-            self.expired += 1;
-            self.telemetry.append("cluster_expired", time, 1.0);
-            if self.obs_on {
-                let pl = pool_labels(&self.cfg.pool);
-                ip_obs::counter_inc("ip_sim_expired_total", pl.as_slice());
-            }
-            self.enforce_target(time);
+        debug_assert!(cluster.is_ready(), "expiring a cluster that is not pooled");
+        self.ready_queue.retain(|&r| r != id);
+        self.expired += 1;
+        self.telemetry.append("cluster_expired", time, 1.0);
+        if self.obs_on {
+            let pl = pool_labels(&self.cfg.pool);
+            ip_obs::counter_inc("ip_sim_expired_total", pl.as_slice());
         }
+        self.enforce_target(time);
     }
 
     fn on_ip_run(
@@ -1250,7 +1261,7 @@ impl SimStepper {
         }
         self.sync_integrals(t);
         let id = self.ready_queue.pop_front().expect("checked non-empty");
-        self.clusters.get_mut(&id).expect("known cluster").state = ClusterState::Retired;
+        self.clusters.remove(&id);
         self.borrowed_out += 1;
         self.telemetry.append("borrow_donated", t, 1.0);
         self.enforce_target(t);
@@ -1260,8 +1271,8 @@ impl SimStepper {
     /// Requester side of a borrow: the pending miss at `t` is served by a
     /// sibling's warm cluster after `latency_secs` of transfer latency —
     /// counted as a pool hit (the fleet served it warm), with the latency
-    /// charged as its wait. The transferred cluster enters this pool's
-    /// inventory in use.
+    /// charged as its wait. The transferred cluster goes straight to the
+    /// request and never enters this pool's inventory.
     pub(crate) fn receive_borrow(&mut self, t: u64, latency_secs: u64, from: &str) {
         self.sync_integrals(t);
         let wait = latency_secs as f64;
@@ -1270,11 +1281,6 @@ impl SimStepper {
         self.borrowed_in += 1;
         self.telemetry.append("pool_hit", t, 1.0);
         self.telemetry.append("borrow_received", t, 1.0);
-        let id = self.next_cluster_id;
-        self.next_cluster_id += 1;
-        let mut cluster = Cluster::provisioning(id, t, u64::MAX, false);
-        cluster.state = ClusterState::InUse;
-        self.clusters.insert(id, cluster);
         if self.obs_on {
             let pl = pool_labels(&self.cfg.pool);
             let name = self.cfg.pool.as_ref().map_or("default", |p| p.as_str());
@@ -1751,6 +1757,97 @@ mod tests {
         assert_eq!(a.interval_stats, b.interval_stats);
         assert_eq!(a.total_wait_secs, b.total_wait_secs);
         assert!(a.fault_records.is_empty());
+    }
+
+    /// Every cluster in the map is pooled (ready or provisioning) or an
+    /// on-demand creation still racing for its request.
+    fn assert_cluster_map_bounded(stepper: &SimStepper, at: u64) {
+        let (ready, provisioning) = stepper.pool_counts();
+        assert!(
+            stepper.clusters.len() <= ready + provisioning + stepper.od_request_of.len(),
+            "t={at}: {} clusters for {ready} ready, {provisioning} provisioning, {} on-demand",
+            stepper.clusters.len(),
+            stepper.od_request_of.len()
+        );
+    }
+
+    #[test]
+    fn cluster_map_holds_only_the_live_pool() {
+        // Two spiky days through every exit: hand-off, hedge loss, cancel
+        // and retire on a target that swings 8 ↔ 1, lifespan expiry,
+        // failures, and an outage that the Arbitrator resolves.
+        let mut model = ip_workload::spiky_region(3);
+        model.days = 2;
+        let d = model.generate();
+        let cfg = SimConfig {
+            default_pool_target: 3,
+            cluster_lifespan_secs: Some(1800),
+            cluster_failure_prob_per_hour: 0.2,
+            on_demand_hedging: 2,
+            ip_worker: Some(IpWorkerConfig {
+                run_every_secs: 900,
+                horizon_secs: 1800,
+                failing_runs: vec![3],
+            }),
+            pooling_worker_outages: vec![(20_000, 21_000)],
+            seed: 9,
+            ..Default::default()
+        };
+        let mut swing = |now: u64, _: &TimeSeries, h: usize| {
+            Some(vec![if now.is_multiple_of(1800) { 8 } else { 1 }; h])
+        };
+        let mut stepper = SimStepper::new(cfg, &d).unwrap();
+        let mut t = 0;
+        while !stepper.is_done() {
+            t += 97;
+            stepper.step_until(&d, Some(&mut swing), t);
+            assert_cluster_map_bounded(&stepper, t);
+        }
+        let report = stepper.finalize();
+        assert!(report.misses > 0 && report.hedges_discarded > 0);
+        assert!(report.cancelled_provisioning > 0 && report.retired_for_downsize > 0);
+        assert!(report.expired > 0 && report.worker_replacements > 0);
+    }
+
+    #[test]
+    fn cluster_map_stays_bounded_across_donations() {
+        use crate::{CompatibilityMatrix, FleetPool, FleetSim};
+        let mut model = ip_workload::spiky_region(4);
+        model.days = 2;
+        let spiky = model.generate();
+        let pool = |target: u32, seed: u64| SimConfig {
+            default_pool_target: target,
+            cluster_lifespan_secs: Some(3600),
+            seed,
+            ..Default::default()
+        };
+        let mut fleet = FleetSim::new(vec![
+            FleetPool::new("busy", pool(1, 1), spiky.clone()),
+            FleetPool::new("lazy", pool(6, 2), TimeSeries::zeros(30, spiky.len())),
+        ])
+        .unwrap();
+        fleet
+            .set_matrix(CompatibilityMatrix::new().edge("lazy", "busy", 10))
+            .unwrap();
+        let mut t = 0;
+        while !fleet.is_done() {
+            t += 300;
+            fleet.step_until(t);
+            for i in 0..2 {
+                assert_cluster_map_bounded(fleet.stepper(i), t);
+            }
+        }
+        assert!(fleet.stepper(1).borrowed_out() > 0);
+        // A borrow and a fallback each add one point on top of the one
+        // point per interval and outcome.
+        let intervals = spiky.len();
+        let busy = fleet.finalize().pools.swap_remove(0).1;
+        assert!(busy.borrowed_in > 0 && busy.misses > 0);
+        let points = |metric| busy.telemetry.query_range(metric, 0, u64::MAX).len();
+        assert!(points("pool_hit") as u64 <= intervals as u64 + busy.borrowed_in);
+        assert!(points("pool_miss") as u64 <= intervals as u64 + busy.misses);
+        assert_eq!(busy.telemetry.total("pool_hit") as u64, busy.hits);
+        assert_eq!(busy.telemetry.total("pool_miss") as u64, busy.misses);
     }
 
     #[test]

@@ -323,7 +323,9 @@ impl FleetSim {
     /// its trace end ([`SimStepper::is_done`]). A pool's last demand
     /// interval is processed earlier than that, when the event at its start
     /// runs; events after it (cluster readiness, expiries) can keep a pool
-    /// not done for up to one more interval.
+    /// not done for up to one more interval. A caller that injects arrivals
+    /// should stop at the last interval instead, as the daemon's controller
+    /// does (its `is_done` compares processed intervals to the trace).
     pub fn is_done(&self) -> bool {
         self.members.iter().all(|m| m.stepper.is_done())
     }

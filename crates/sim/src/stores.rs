@@ -9,6 +9,12 @@ use std::collections::BTreeMap;
 /// Each point is `(timestamp_secs, value)`; queries return points in a time
 /// range or aggregate them into fixed intervals (which is exactly how the
 /// paper's pipeline consolidates request telemetry into 30-second buckets).
+///
+/// The simulator writes request telemetry already consolidated: one
+/// `requests` point per interval, and one `pool_hit` / `pool_miss` point
+/// per interval carrying that interval's count (omitted when zero), plus
+/// one point per borrow or fallback resolution in a borrowing fleet. The
+/// store therefore grows with intervals, not with requests.
 #[derive(Debug, Default, Clone)]
 pub struct KustoLite {
     series: BTreeMap<String, Vec<(u64, f64)>>,
@@ -24,10 +30,13 @@ impl KustoLite {
     /// metric (the simulator emits them in event order); out-of-order points
     /// are accepted but kept in arrival order.
     pub fn append(&mut self, metric: &str, timestamp_secs: u64, value: f64) {
-        self.series
-            .entry(metric.to_string())
-            .or_default()
-            .push((timestamp_secs, value));
+        let point = (timestamp_secs, value);
+        match self.series.get_mut(metric) {
+            Some(points) => points.push(point),
+            None => {
+                self.series.insert(metric.to_string(), vec![point]);
+            }
+        }
     }
 
     /// All points of a metric within `[from, to)`.

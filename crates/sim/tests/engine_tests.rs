@@ -241,10 +241,17 @@ fn telemetry_contains_request_metrics() {
     let d = demand(&[1.0, 2.0, 0.0, 3.0]);
     let report = Simulation::new(base_config(), None).run(&d).unwrap();
     assert_eq!(report.telemetry.total("requests"), 6.0);
+    assert_eq!(report.telemetry.total("pool_hit"), report.hits as f64);
+    assert_eq!(report.telemetry.total("pool_miss"), report.misses as f64);
     assert_eq!(
         report.telemetry.total("pool_hit") + report.telemetry.total("pool_miss"),
         6.0
     );
+    // Outcomes are stored per interval, not per request.
+    for metric in ["pool_hit", "pool_miss"] {
+        let points = report.telemetry.query_range(metric, 0, u64::MAX).len();
+        assert!(points <= d.len(), "{metric}: {points} points");
+    }
 }
 
 #[test]

@@ -34,6 +34,10 @@ proptest! {
         // Telemetry agrees with the counters.
         prop_assert_eq!(r.telemetry.total("pool_hit") as u64, r.hits);
         prop_assert_eq!(r.telemetry.total("pool_miss") as u64, r.misses);
+        // ... with at most one point per interval and outcome.
+        for metric in ["pool_hit", "pool_miss"] {
+            prop_assert!(r.telemetry.query_range(metric, 0, u64::MAX).len() <= demand.len());
+        }
     }
 
     #[test]
